@@ -9,13 +9,6 @@
 // --smoke (or CHATFUZZ_SMOKE=1) shrinks the campaign to CI size; the
 // numbers still print but only prove the harness runs.
 //
-// --superblock switches to the superblock-dispatch comparison instead: the
-// streaming engine with superblock dispatch on vs off, single worker, on a
-// straight-line-heavy corpus (where span dispatch amortizes best). Campaign
-// results must be bit-identical both ways (parity_ok) — the engines differ
-// only in speed. One line of JSON, schema "superblock_dispatch", for
-// BENCH_superblock.json.
-//
 // --trace <file> switches to the telemetry-overhead comparison: the same
 // single-worker campaign with tracing + stats export off vs on (spans
 // recorded to per-thread rings, Chrome trace JSON written to <file>, NDJSON
@@ -61,10 +54,8 @@
 #include "coverage/merge.h"
 #include "isasim/sim.h"
 #include "mismatch/detect.h"
-#include "riscv/builder.h"
 #include "rtlsim/core.h"
 #include "rtlsim/dut.h"
-#include "util/rng.h"
 
 using namespace chatfuzz;
 
@@ -159,123 +150,6 @@ SeedRunTotals run_seed_replica(const core::CampaignConfig& cfg,
   totals.universe_bins = agg.num_bins();
   totals.raw_mismatches = tally.total_raw();
   return totals;
-}
-
-/// Straight-line-heavy stimulus behind the InputGenerator interface: a long
-/// ALU block re-executed by an outer counter loop. The dynamic instruction
-/// stream is almost entirely straight-line spans that repeat every
-/// iteration — the workload superblock dispatch amortizes best, and the
-/// configuration the speedup target is stated against. Fully deterministic
-/// per seed, like every generator in the repo.
-class StraightLineFuzzer final : public core::InputGenerator {
- public:
-  explicit StraightLineFuzzer(std::uint64_t seed) : rng_(seed) {}
-  std::string name() const override { return "StraightLine"; }
-  std::vector<core::Program> next_batch(std::size_t n) override {
-    std::vector<core::Program> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(make_program());
-    return out;
-  }
-
- private:
-  core::Program make_program() {
-    riscv::ProgramBuilder b;
-    // Far more iterations than the step budget allows: every test runs the
-    // body until kStepLimit, so per-test fixed costs (generation, reset,
-    // fold) stay a small fraction the way they are in the paper's much
-    // deeper RTL simulations.
-    b.addi(5, 0, 2047);
-    b.label("body");
-    const int body = static_cast<int>(rng_.range(96, 160));
-    for (int i = 0; i < body; ++i) {
-      const unsigned rd = 6 + static_cast<unsigned>(rng_.below(10));
-      const unsigned ra = 6 + static_cast<unsigned>(rng_.below(10));
-      const unsigned rb = 6 + static_cast<unsigned>(rng_.below(10));
-      switch (rng_.below(8)) {
-        case 0: b.add(rd, ra, rb); break;
-        case 1: b.sub(rd, ra, rb); break;
-        case 2: b.or_(rd, ra, rb); break;
-        case 3: b.slli(rd, ra, static_cast<unsigned>(rng_.below(64))); break;
-        case 4: b.srli(rd, ra, static_cast<unsigned>(rng_.below(64))); break;
-        // No muldiv: the default tracer_drops_muldiv injection would flag a
-        // mismatch on every mul, and mismatch handling is fixed cost on both
-        // engines — it measures the detector, not dispatch.
-        case 5: b.add(rd, rb, ra); break;
-        default:
-          b.addi(rd, ra, static_cast<std::int32_t>(rng_.range(-2048, 2047)));
-          break;
-      }
-    }
-    b.addi(5, 5, -1);
-    b.branch_to(riscv::Opcode::kBne, 5, 0, "body");
-    b.ebreak();
-    return b.seal();
-  }
-
-  Rng rng_;
-};
-
-/// --superblock mode: engine-vs-engine, dispatch on vs off.
-int run_superblock_bench(bool smoke) {
-  core::CampaignConfig cfg;
-  cfg.num_tests = smoke ? 96 : 1024;
-  cfg.batch_size = 32;
-  cfg.num_workers = 1;  // per-pipeline cost, no threading
-  cfg.checkpoint_every = 100;
-  // Each test step-limits inside the loop: 2048 dispatched instructions per
-  // test per simulator, dominated by repeated straight-line spans.
-  cfg.platform.max_steps = 2048;
-  const std::uint64_t kGenSeed = 7;
-
-  const auto timed_run = [&](bool sb, double* seconds) {
-    StraightLineFuzzer gen(kGenSeed);
-    core::CampaignConfig c = cfg;
-    c.superblocks = sb;
-    const double t0 = now_sec();
-    const core::CampaignResult r = core::run_campaign(gen, c);
-    *seconds = now_sec() - t0;
-    return r;
-  };
-
-  // Warm both dispatch engines before any timed run.
-  {
-    core::CampaignConfig warm = cfg;
-    warm.num_tests = smoke ? 32 : 256;
-    for (int sb = 0; sb < 2; ++sb) {
-      StraightLineFuzzer warm_gen(kGenSeed);
-      warm.superblocks = sb != 0;
-      core::run_campaign(warm_gen, warm);
-    }
-  }
-
-  double dt_sb = 0.0, dt_interp = 0.0;
-  const core::CampaignResult with_sb = timed_run(true, &dt_sb);
-  const core::CampaignResult interp = timed_run(false, &dt_interp);
-
-  const double tps_sb = static_cast<double>(with_sb.tests_run) / dt_sb;
-  const double tps_interp = static_cast<double>(interp.tests_run) / dt_interp;
-  // Dispatch is a pure speed knob: every architectural total must match
-  // bit-for-bit or the comparison is void.
-  const bool parity_ok = with_sb.tests_run == interp.tests_run &&
-                         with_sb.final_cov_percent == interp.final_cov_percent &&
-                         with_sb.total_cycles == interp.total_cycles &&
-                         with_sb.total_instrs == interp.total_instrs &&
-                         with_sb.raw_mismatches == interp.raw_mismatches &&
-                         with_sb.filtered_mismatches == interp.filtered_mismatches;
-
-  std::printf(
-      "{\"bench\":\"superblock_dispatch\",\"smoke\":%s,"
-      "\"tests\":%zu,\"workers\":1,\"corpus\":\"straight_line\","
-      "\"tests_per_sec_sb\":%.1f,\"wall_seconds_sb\":%.3f,"
-      "\"tests_per_sec_interp\":%.1f,\"wall_seconds_interp\":%.3f,"
-      "\"superblock_speedup\":%.2f,"
-      "\"final_cov_percent\":%.4f,\"raw_mismatches\":%zu,"
-      "\"parity_ok\":%s}\n",
-      smoke ? "true" : "false", with_sb.tests_run, tps_sb, dt_sb, tps_interp,
-      dt_interp, tps_sb / tps_interp, with_sb.final_cov_percent,
-      with_sb.raw_mismatches, parity_ok ? "true" : "false");
-  return parity_ok ? 0 : 1;
 }
 
 /// --trace mode: telemetry overhead — identical campaign with telemetry off
@@ -445,12 +319,10 @@ int run_multidut_bench(bool smoke, const char* dut_list) {
 int main(int argc, char** argv) {
   const char* env_smoke = std::getenv("CHATFUZZ_SMOKE");
   bool smoke = env_smoke != nullptr && std::strcmp(env_smoke, "0") != 0;
-  bool superblock = false;
   const char* dut_list = nullptr;
   const char* trace_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--superblock") == 0) superblock = true;
     if (std::strcmp(argv[i], "--dut") == 0 && i + 1 < argc) {
       dut_list = argv[++i];
     }
@@ -460,7 +332,6 @@ int main(int argc, char** argv) {
   }
   if (trace_path != nullptr) return run_trace_overhead_bench(smoke, trace_path);
   if (dut_list != nullptr) return run_multidut_bench(smoke, dut_list);
-  if (superblock) return run_superblock_bench(smoke);
 
   core::CampaignConfig cfg;
   cfg.num_tests = smoke ? 64 : 1280;

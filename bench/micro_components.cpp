@@ -75,96 +75,6 @@ static void BM_RtlSimRun(benchmark::State& state) {
 }
 BENCHMARK(BM_RtlSimRun);
 
-// ---- superblock dispatch ----------------------------------------------------
-// Instructions/sec through each simulator's dispatch loop, interpreter
-// (sb=0) vs superblock (sb=1), across the three workload shapes the engine
-// meets: straight-line (long ALU chains, where spans amortize best),
-// branchy (short blocks, dense transfers), and VM-heavy (Sv39 bring-up +
-// translated accesses, where superblock dispatch must stand down). Commits
-// stream to a DiscardSink so trace materialization does not mask the
-// dispatch cost — the same shape the campaign hot path runs.
-
-corpus::CorpusConfig dispatch_mix(int workload) {
-  corpus::CorpusConfig cc;
-  switch (workload) {
-    case 0:  // straight-line
-      cc.w_alu_chain = 8.0;
-      cc.w_load_compute_store = 2.0;
-      cc.w_muldiv = 1.0;
-      cc.w_if_else = 0.0;
-      cc.w_loop = 0.0;
-      cc.w_csr = 0.0;
-      cc.w_amo = 0.0;
-      cc.w_lrsc = 0.0;
-      cc.w_fence = 0.0;
-      cc.w_priv = 0.0;
-      cc.w_vm = 0.0;
-      break;
-    case 1:  // branchy
-      cc.w_if_else = 6.0;
-      cc.w_loop = 4.0;
-      cc.w_alu_chain = 1.0;
-      cc.w_priv = 0.0;
-      cc.w_vm = 0.0;
-      break;
-    default:  // VM-heavy
-      cc.w_vm = 6.0;
-      cc.w_priv = 2.0;
-      break;
-  }
-  return cc;
-}
-
-static void BM_IsaSimDispatch(benchmark::State& state) {
-  corpus::CorpusGenerator gen(dispatch_mix(static_cast<int>(state.range(0))),
-                              3);
-  const auto progs = gen.dataset(16);
-  sim::Platform plat;
-  plat.max_steps = 512;
-  sim::IsaSim sim(plat);
-  sim.set_superblocks(state.range(1) != 0);
-  sim::DiscardSink sink;
-  sim.set_sink(&sink);
-  std::uint64_t instrs = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    sim.reset(progs[i++ % progs.size()]);
-    instrs += sim.run().steps;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
-}
-BENCHMARK(BM_IsaSimDispatch)
-    ->ArgNames({"mix", "sb"})
-    ->Args({0, 0})->Args({0, 1})
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1});
-
-static void BM_RtlSimDispatch(benchmark::State& state) {
-  corpus::CorpusGenerator gen(dispatch_mix(static_cast<int>(state.range(0))),
-                              3);
-  const auto progs = gen.dataset(16);
-  sim::Platform plat;
-  plat.max_steps = 512;
-  cov::CoverageDB db;
-  rtl::RtlCore core(rtl::CoreConfig::rocket(), db, plat);
-  core.set_superblocks(state.range(1) != 0);
-  sim::DiscardSink sink;
-  core.set_sink(&sink);
-  std::uint64_t instrs = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    db.begin_test();
-    core.reset(progs[i++ % progs.size()]);
-    instrs += core.run().steps;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
-}
-BENCHMARK(BM_RtlSimDispatch)
-    ->ArgNames({"mix", "sb"})
-    ->Args({0, 0})->Args({0, 1})
-    ->Args({1, 0})->Args({1, 1})
-    ->Args({2, 0})->Args({2, 1});
-
 static void BM_Tokenizer(benchmark::State& state) {
   ml::Tokenizer tok;
   Rng rng(4);

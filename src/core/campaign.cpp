@@ -14,7 +14,7 @@
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "riscv/superblock.h"
+#include "riscv/bbv.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -601,9 +601,8 @@ CampaignResult resume_campaign(InputGenerator& gen, const std::string& dir,
   if (opts.num_workers != 0) cfg.num_workers = opts.num_workers;
   cfg.stop_after_tests = opts.stop_after_tests;
   cfg.dist = opts.dist;       // topology is per-run, never stored
-  cfg.superblocks = opts.superblocks;  // dispatch engine likewise
-  cfg.bbv_path = opts.bbv_path;        // persistence paths likewise
-  cfg.trace_path = opts.trace_path;    // telemetry likewise
+  cfg.bbv_path = opts.bbv_path;      // persistence paths likewise
+  cfg.trace_path = opts.trace_path;  // telemetry likewise
   cfg.stats_path = opts.stats_path;
   cfg.stats_every_ms = opts.stats_every_ms;
   return run_engine(gen, cfg, std::move(hook), &data);

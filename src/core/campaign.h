@@ -170,13 +170,8 @@ struct CampaignConfig {
   /// campaign). Off by default to preserve the paper harness's behavior.
   bool randomize_regs = false;
 
-  /// Superblock dispatch in both simulators (`fuzz --no-superblocks` turns
-  /// it off). Purely a speed knob — every campaign artifact (report,
-  /// coverage DB, mismatch DB, corpus store, BBV log) is bit-identical
-  /// either way, which the determinism suite pins. Never serialized into
-  /// checkpoints: like worker count it is per-run scheduling, and the
-  /// span caches are derived state that must not enter snapshots.
-  bool superblocks = true;
+  // Read only by the frozen benchmark driver perfbench/driver.cpp; inert.
+  static constexpr bool superblocks = false;
 
   /// When non-empty, record a per-test basic-block vector from the DUT's
   /// commit stream and write the log (core/bbv.h) here, folded in canonical
@@ -304,9 +299,6 @@ struct ResumeOptions {
   /// Process topology for the resumed run. Checkpoints never store one
   /// (scheduling, not semantics), so the default resumes in-process.
   DistConfig dist;
-  /// Superblock dispatch for the resumed run (scheduling, not semantics —
-  /// never stored; results are bit-identical either way).
-  bool superblocks = true;
   /// BBV log for the resumed run: persistence paths are per-run, like
   /// checkpoint_dir. The engine reloads this file and truncates it to the
   /// checkpoint's test count before appending, so a resumed campaign's log

@@ -1,13 +1,14 @@
 #include "core/sim_worker.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/sim_counters.h"
 #include "obs/trace.h"
+#include "util/pool.h"
 #include "util/rng.h"
 
 namespace chatfuzz::core {
@@ -19,11 +20,9 @@ SimStack::SimStack(const CampaignConfig& cfg, bool use_suite) {
   // coordinator's registrar and the dist workers perform.
   for (const rtl::CoreConfig& core : effective_duts(cfg)) {
     duts.push_back(rtl::make_dut(core, db, cfg.platform));
-    duts.back()->set_superblocks(cfg.superblocks);
   }
   dut = duts.front().get();
   golden = std::make_unique<sim::IsaSim>(cfg.platform);
-  golden->set_superblocks(cfg.superblocks);
   if (use_suite) dut->attach_metrics(&suite);
   detector.install_default_filters();
 }
@@ -58,20 +57,16 @@ namespace {
 
 /// Drain a simulator's per-test telemetry tallies into the process-wide
 /// registry. Counter handles resolve once per process (the names never
-/// change), so the per-test cost is six relaxed atomic adds.
+/// change), so the per-test cost is four relaxed atomic adds.
 void flush_sim_counters(const obs::SimCounters& c) {
   static obs::Counter* const pd_hits = obs::counter("sim.predecode_hits");
   static obs::Counter* const pd_misses = obs::counter("sim.predecode_misses");
   static obs::Counter* const tlb_hits = obs::counter("sim.tlb_hits");
   static obs::Counter* const tlb_misses = obs::counter("sim.tlb_misses");
-  static obs::Counter* const sb_hits = obs::counter("sim.sb_hits");
-  static obs::Counter* const sb_builds = obs::counter("sim.sb_builds");
   pd_hits->add(c.predecode_hits);
   pd_misses->add(c.predecode_misses);
   tlb_hits->add(c.tlb_hits);
   tlb_misses->add(c.tlb_misses);
-  sb_hits->add(c.sb_hits);
-  sb_builds->add(c.sb_builds);
 }
 
 }  // namespace
@@ -170,16 +165,12 @@ void run_span(std::vector<std::unique_ptr<SimStack>>& stacks,
       failed.store(true, std::memory_order_relaxed);
     }
   };
-  const std::size_t spawn = std::min(stacks.size(), count);
-  if (spawn <= 1) {
-    drain(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(spawn - 1);
-    for (std::size_t si = 1; si < spawn; ++si) pool.emplace_back(drain, si);
-    drain(0);
-    for (std::thread& t : pool) t.join();
-  }
+  // Stack si runs on pool participant si: the caller drains stack 0 and
+  // the persistent pool threads the rest, so no thread is spawned per batch.
+  const int parts = static_cast<int>(std::min(stacks.size(), count));
+  Pool::instance().run(std::max(parts, 1), [&](int part) {
+    drain(static_cast<std::size_t>(part));
+  });
   if (error) std::rethrow_exception(error);
 }
 

@@ -115,11 +115,12 @@ void run_one(SimStack& w, const CampaignConfig& cfg, bool use_suite,
              const Program& test, std::uint64_t test_index, TestArtifact& out);
 
 /// Simulate `tests[0..count)` (global indices base_index + i) across the
-/// stack pool into `artifacts[0..count)`. Threads claim tests through a
-/// shared counter, so each stack's tests are in increasing global order —
+/// stack pool into `artifacts[0..count)`, one stack per participant of the
+/// process-wide worker pool (util/pool.h). Participants claim tests through
+/// a shared counter, so each stack's tests are in increasing global order —
 /// the ctrl-recorder invariant both engines rely on. The first exception
-/// thrown on any thread is rethrown here after the join (a throw must
-/// neither vanish via std::terminate nor leave joinable threads behind).
+/// thrown on any participant is rethrown here once all have finished (a
+/// throw must not vanish via std::terminate on a pool thread).
 /// Shared by the in-process batch engine and the dist worker's lease loop.
 void run_span(std::vector<std::unique_ptr<SimStack>>& stacks,
               const CampaignConfig& cfg, bool use_suite, const Program* tests,

@@ -36,10 +36,10 @@ struct StoreEntryMeta {
   std::uint64_t ctrl_new = 0;        // new ctrl-reg states
   /// Phase signature of the test's basic-block vector (riscv::
   /// bbv_phase_hash over the DUT's commit stream). 0 = not yet computed:
-  /// campaigns always archive 0 and `corpus minimize` fills it by replay,
-  /// then uses it to collapse phase-duplicate mismatch entries. Keeping the
-  /// campaign path hash-free makes the store bytes independent of whether
-  /// BBV collection (or superblock dispatch) was on.
+  /// campaigns archive the hash while BBV collection (`--bbv`) is on and 0
+  /// otherwise, so the store bytes depend on whether it was on. `corpus
+  /// minimize` stamps the finer BbvRecorder::phase_hash by replay, then
+  /// uses it to collapse phase-duplicate mismatch entries.
   std::uint64_t phase_hash = 0;
   /// Coverage attribution: the condition bins this test covered FIRST
   /// (disjoint across entries by construction — the basis for replay-free

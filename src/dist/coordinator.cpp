@@ -146,7 +146,6 @@ bool Coordinator::add_peer(Peer peer, int handshake_timeout_ms) {
   config.debug_hang =
       index == cfg_.dist.debug_hang_worker && !hang_sent_;
   if (config.debug_hang) hang_sent_ = true;
-  config.superblocks = cfg_.superblocks;
   config.collect_bbv = !cfg_.bbv_path.empty();
   config.config_crc = config_fingerprint(cfg_);
   config.heartbeat_ms = cfg_.dist.heartbeat_ms;

@@ -91,7 +91,6 @@ std::string encode_config(const ConfigMsg& msg) {
   w.u64(msg.worker_index);
   w.u64(msg.max_lease_tests);
   w.boolean(msg.debug_hang);
-  w.boolean(msg.superblocks);
   w.boolean(msg.collect_bbv);
   w.u32(msg.config_crc);
   w.u32(msg.heartbeat_ms);
@@ -111,7 +110,6 @@ ser::Status decode_config(const std::string& payload, ConfigMsg* msg) {
   msg->worker_index = r.u64();
   msg->max_lease_tests = r.u64();
   msg->debug_hang = r.boolean();
-  msg->superblocks = r.boolean();
   msg->collect_bbv = r.boolean();
   msg->config_crc = r.u32();
   msg->heartbeat_ms = r.u32();

@@ -39,8 +39,9 @@
 
 namespace chatfuzz::dist {
 
-// v2: config frames carry the superblock/BBV knobs; artifact encodings
-// carry the per-test basic-block vector (empty unless collection is on).
+// v2: config frames carry the dispatch-engine and BBV knobs; artifact
+// encodings carry the per-test basic-block vector (empty unless collection
+// is on).
 // v3: the campaign config inside kConfig frames carries the multi-DUT list
 // and the out-of-order backend fields (core::write_campaign_config v4
 // layout) — a v2 worker would build the wrong simulation stacks, so the
@@ -58,7 +59,9 @@ namespace chatfuzz::dist {
 // with a kStatsReply snapshot of its own obs metrics registry, which the
 // coordinator folds into the --stats NDJSON stream. Observation-only: no
 // stats frame ever carries or mutates campaign state.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+// v6: config frames drop the dispatch-engine flag — both simulators have a
+// single dispatch path, so a v5 peer would misparse every later field.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 inline constexpr std::uint32_t kFrameMagic = 0x4346444D;  // "CFDM"
 /// Upper bound on one frame's payload; a length prefix beyond this is
 /// treated as corruption (it would otherwise become an allocation bomb).
@@ -99,10 +102,9 @@ struct ConfigMsg {
   std::uint64_t worker_index = 0;  // this worker's slot (diagnostics)
   std::uint64_t max_lease_tests = 1;  // cap for the worker's thread pool
   bool debug_hang = false;         // fault injection: stall on first lease
-  // Per-run knobs that write_campaign_config deliberately excludes (they
-  // are scheduling/persistence, not checkpoint state) but that workers must
-  // still honor for the current run:
-  bool superblocks = true;         // dispatch engine selection
+  // Per-run knob that write_campaign_config deliberately excludes (it is
+  // persistence, not checkpoint state) but that workers must still honor
+  // for the current run:
   bool collect_bbv = false;        // record per-test BBVs into artifacts
   /// config_fingerprint() of cfg as the coordinator serialized it. The
   /// worker recomputes the fingerprint from its own decode and refuses the

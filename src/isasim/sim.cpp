@@ -25,8 +25,7 @@ unsigned mem_size_of(Opcode op) {
 }  // namespace
 
 IsaSim::IsaSim(Platform plat)
-    : plat_(plat), mem_(plat.ram_base, plat.ram_size),
-      sb_cells_(1 + ((plat.ram_size + 4095) >> 12), 0) {}
+    : plat_(plat), mem_(plat.ram_base, plat.ram_size) {}
 
 void IsaSim::reset(std::span<const std::uint32_t> program) {
   mem_.clear();
@@ -40,8 +39,6 @@ void IsaSim::reset(std::span<const std::uint32_t> program) {
   reservation_.reset();
   program_end_ = plat_.ram_base + 4 * program.size();
   predecode_.flush();
-  ++sb_cells_[0];  // previous test's spans decode the previous image
-  sb_builds_ = 0;
   flush_tlb();
   trace_.clear();
   // One reservation up front: the commit trace grows to max_steps on every
@@ -55,17 +52,7 @@ void IsaSim::reset(std::span<const std::uint32_t> program) {
 }
 
 RunResult IsaSim::run() {
-  if (sb_enabled_ && !plat_.clint_enabled) {
-    // Threaded dispatch: while untranslated, burn through cached
-    // straight-line spans and fall back to step() at every block boundary
-    // (and for everything translation- or interrupt-shaped).
-    while (!stopped_) {
-      if (!translation_active() && run_superblock()) continue;
-      step();
-    }
-  } else {
-    while (!stopped_) step();
-  }
+  while (!stopped_) step();
   RunResult r;
   r.trace = trace_;
   r.stop = stop_reason_;
@@ -440,74 +427,6 @@ std::optional<CommitRecord> IsaSim::step() {
   return rec;
 }
 
-const IsaSim::SbIndex::Span* IsaSim::build_superblock() {
-  SbIndex::Span& span = sb_.begin_build(pc_);
-  sb_.add_guard(span, 0, sb_cells_[0]);  // global flush epoch
-  std::uint64_t addr = pc_;
-  for (std::size_t i = 0; i < riscv::kMaxSuperblockLen; ++i, addr += 4) {
-    // pc is 4-aligned while untranslated (misaligned targets fault before
-    // redirecting), so one word never straddles a page: one guard covers it.
-    if (!mem_.in_ram(addr, 4)) break;
-    const std::uint32_t page = sb_page_cell(addr);
-    if (!sb_.add_guard(span, page, sb_cells_[page])) break;
-    const auto raw = static_cast<std::uint32_t>(mem_.read(addr, 4));
-    if (raw == 0) break;  // end-of-program marker: slow path stops on it
-    const Decoded d = riscv::decode(raw);
-    if (riscv::superblock_terminator(d)) break;
-    sb_.push(span, d);
-  }
-  return &span;
-}
-
-bool IsaSim::run_superblock() {
-  if (steps_ >= plat_.max_steps) return false;
-  const SbIndex::Span* span = sb_.find(pc_, sb_cells_);
-  if (span == nullptr) {
-    // Churn guard (see sb_builds_): past the warmup allowance, build at
-    // most one span per 16 committed instructions.
-    if (sb_builds_ > 8 && sb_builds_ * 16 > steps_) return false;
-    ++sb_builds_;
-    ++obs_sb_builds_;
-    span = build_superblock();
-  } else {
-    ++obs_sb_hits_;
-  }
-  if (span->len == 0) return false;
-  const Decoded* slots = sb_.slots(*span);
-  const std::uint64_t budget = plat_.max_steps - steps_;
-  const std::uint64_t n = span->len < budget ? span->len : budget;
-  std::uint64_t executed = 0;
-  while (executed < n) {
-    const Decoded& d = slots[executed];
-    ++steps_;
-    ++csrs_.cycle;
-    CommitRecord rec;
-    rec.pc = pc_;
-    rec.instr = d.raw;
-    rec.priv = priv_;
-    execute(d, rec);
-    if (rec.exception == Exception::kNone) ++csrs_.instret;
-    if (sink_ != nullptr) {
-      sink_->on_commit(rec);
-    } else {
-      trace_.push_back(rec);
-    }
-    ++executed;
-    if (rec.exception != Exception::kNone) {
-      // The magic trampoline resumes at the faulting pc + 4 — exactly the
-      // span's fall-through — so execution can stay in-span unless the trap
-      // delegated into an S-mode translation context.
-      if (translation_active()) break;
-    } else if (rec.has_mem && rec.mem_is_store &&
-               !SbIndex::fresh(*span, sb_cells_)) {
-      // Self-modifying store under this very span: the remaining decoded
-      // slots may be stale, so re-fetch through the slow path.
-      break;
-    }
-  }
-  return executed > 0;
-}
-
 void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
   const std::uint64_t next_pc = pc_ + 4;
   if (!d.valid()) {
@@ -661,7 +580,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
           size == 8 ? b : (b & ((1ull << (8 * size)) - 1));
       mem_.write(pa, bits, size);
       predecode_.invalidate(pa, size);  // self-modifying code
-      sb_note_write(pa, size);
       rec.has_mem = true;
       rec.mem_is_store = true;
       rec.mem_addr = addr;
@@ -771,7 +689,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
       // the predecode cache), but fence.i still drops everything — it is
       // the documented "make fetch see every prior store" point.
       predecode_.flush();
-      ++sb_cells_[0];
       break;
     // ---- System ---------------------------------------------------------------
     case Opcode::kEcall:
@@ -909,7 +826,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
             size == 8 ? b : (b & 0xffffffffull);
         mem_.write(pa, bits, size);
         predecode_.invalidate(pa, size);
-        sb_note_write(pa, size);
         rec.has_mem = true;
         rec.mem_is_store = true;
         rec.mem_addr = a;
@@ -979,7 +895,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
           size == 8 ? result : (result & 0xffffffffull);
       mem_.write(pa, store_bits, size);
       predecode_.invalidate(pa, size);
-      sb_note_write(pa, size);
       rec.has_mem = true;
       rec.mem_is_store = true;
       rec.mem_addr = a;

@@ -16,7 +16,6 @@
 #include "obs/sim_counters.h"
 #include "riscv/instr.h"
 #include "riscv/predecode.h"
-#include "riscv/superblock.h"
 
 namespace chatfuzz::sim {
 
@@ -53,17 +52,12 @@ class IsaSim {
   Memory& memory() {
     predecode_.flush();
     flush_tlb();
-    ++sb_cells_[0];  // drop cached superblock spans with the decodes
     return mem_;
   }
   const Trace& trace() const { return trace_; }
 
-  /// Enable/disable superblock dispatch in run(). Purely a speed knob:
-  /// architectural results, traces and streamed commits are bit-identical
-  /// either way (the determinism suites pin this). step() always executes
-  /// one instruction at a time regardless.
-  void set_superblocks(bool on) { sb_enabled_ = on; }
-  bool superblocks() const { return sb_enabled_; }
+  // No-op; its only caller is the frozen benchmark driver perfbench/driver.cpp.
+  void set_superblocks(bool) {}
 
   /// Change the initial-register-file seed used by subsequent reset() calls.
   /// Both sides of a co-simulation must be given the same seed.
@@ -75,17 +69,15 @@ class IsaSim {
   /// never materializes one.
   void set_sink(CommitSink* sink) { sink_ = sink; }
 
-  /// Telemetry counters accumulated since the last take (predecode/TLB/
-  /// superblock hit rates); taking zeroes them. Observation-only.
+  /// Telemetry counters accumulated since the last take (predecode/TLB hit
+  /// rates); taking zeroes them. Observation-only.
   obs::SimCounters take_obs_counters() {
     obs::SimCounters c;
     c.predecode_hits = predecode_.take_hits();
     c.predecode_misses = predecode_.take_misses();
     c.tlb_hits = obs_tlb_hits_;
     c.tlb_misses = obs_tlb_misses_;
-    c.sb_hits = obs_sb_hits_;
-    c.sb_builds = obs_sb_builds_;
-    obs_tlb_hits_ = obs_tlb_misses_ = obs_sb_hits_ = obs_sb_builds_ = 0;
+    obs_tlb_hits_ = obs_tlb_misses_ = 0;
     return c;
   }
 
@@ -134,34 +126,6 @@ class IsaSim {
   void write_rd(CommitRecord& rec, std::uint8_t rd, std::uint64_t value);
   void execute(const riscv::Decoded& d, CommitRecord& rec);
 
-  // ---- superblock dispatch (see riscv/superblock.h) -----------------------
-  using SbIndex = riscv::SuperblockIndex<riscv::Decoded>;
-  /// Execute cached straight-line spans starting at pc_ until the span ends,
-  /// a trap activates translation, a store invalidates the span under us, or
-  /// the step budget runs out. Returns false when the slow path must handle
-  /// this pc (no span, negative span, budget exhausted).
-  bool run_superblock();
-  const SbIndex::Span* build_superblock();
-  /// Guard cell for the RAM page covering `addr` (cell 0 is the global
-  /// flush epoch, pages start at 1). Addresses outside RAM map to cell 0:
-  /// in_ram() deliberately wraps for accesses at the top of the address
-  /// space (see predecode.h), so stores and fetches can land on pages with
-  /// no per-page generation — charging them to the flush epoch keeps span
-  /// invalidation conservative instead of indexing sb_cells_ out of bounds.
-  std::uint32_t sb_page_cell(std::uint64_t addr) const {
-    const std::uint64_t off = addr - plat_.ram_base;
-    if (off >= plat_.ram_size) return 0;
-    return 1 + static_cast<std::uint32_t>(off >> 12);
-  }
-  /// Store hook, next to every predecode invalidation: bump the write
-  /// generation of the touched page(s) so overlapping spans go stale.
-  void sb_note_write(std::uint64_t pa, unsigned size) {
-    const std::uint32_t first = sb_page_cell(pa);
-    const std::uint32_t last = sb_page_cell(pa + size - 1);
-    ++sb_cells_[first];
-    if (last != first) ++sb_cells_[last];
-  }
-
   /// Poll the CLINT and enter a pending M-mode interrupt if enabled.
   void service_interrupts();
 
@@ -179,25 +143,9 @@ class IsaSim {
   std::optional<std::uint64_t> reservation_;  // LR/SC reservation address
   std::uint64_t program_end_ = 0;
 
-  // Superblock span cache: derived state (never checkpointed), guarded by
-  // sb_cells_ — cell 0 is a global flush epoch (reset, fence.i, external
-  // memory writes), cells 1.. are per-4K-page store generations.
-  bool sb_enabled_ = true;
-  SbIndex sb_;
-  std::vector<std::uint64_t> sb_cells_;
-  // Span-build churn guard: builds this test (a build is up to 64 decodes).
-  // Page-table-building and self-modifying phases invalidate spans as fast
-  // as they are built; once builds outpace ~1 per 16 committed instructions
-  // the cache is thrashing and run_superblock() stops building, serving
-  // only spans already cached. Purely a speed valve — dispatch results are
-  // identical either way.
-  std::uint64_t sb_builds_ = 0;
-
   // Telemetry tallies (see take_obs_counters); never read architecturally.
   std::uint64_t obs_tlb_hits_ = 0;
   std::uint64_t obs_tlb_misses_ = 0;
-  std::uint64_t obs_sb_hits_ = 0;
-  std::uint64_t obs_sb_builds_ = 0;
 
   Trace trace_;
   CommitSink* sink_ = nullptr;

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "ml/kernels.h"
 #include "obs/trace.h"
@@ -647,6 +649,11 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
   float* rstd = mean + B;                                   // [B]
 
   for (int b = 0; b < B; ++b) {
+    if (tokens_t[b] < 0 || tokens_t[b] >= V) {
+      throw std::out_of_range("Gpt::gen_step: token id " +
+                              std::to_string(tokens_t[b]) +
+                              " outside the vocabulary");
+    }
     const float* we = prm + p.wte + static_cast<std::size_t>(tokens_t[b]) * C;
     const float* pe = prm + p.wpe + static_cast<std::size_t>(pos) * C;
     for (int c = 0; c < C; ++c) x[b * C + c] = we[c] + pe[c];

@@ -97,7 +97,8 @@ class Gpt {
   GenState gen_begin(int B) const;
 
   /// Feed one token per sequence (tokens_t[B], position = state.t) and get
-  /// next-token logits [B, vocab] in logits_out. Advances state.t.
+  /// next-token logits [B, vocab] in logits_out. Advances state.t. Throws
+  /// std::out_of_range on a token id outside [0, vocab).
   void gen_step(GenState& state, const int* tokens_t, float* logits_out) const;
 
   // ---- persistence ----------------------------------------------------------

@@ -1,111 +1,25 @@
 #include "ml/kernels.h"
 
-#include <atomic>
-#include <cassert>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <mutex>
 #include <thread>
 
 #include "util/parse.h"
+#include "util/pool.h"
 
 namespace chatfuzz::ml::kern {
 
 // ===========================================================================
-// Thread splitter: a lazily started persistent pool. Work is dispatched as a
-// fixed list of disjoint [lo, hi) ranges — one per participant, computed from
-// the range arithmetic alone — so the partitioning (and therefore every
-// output bit) is independent of scheduling. The calling thread always
-// executes partition 0 itself.
+// Thread splitter over the process-wide pool (util/pool.h). Work is
+// dispatched as a fixed list of disjoint [lo, hi) ranges — one per
+// participant, computed from the range arithmetic alone — so the
+// partitioning (and therefore every output bit) is independent of
+// scheduling. The calling thread always executes partition 0 itself.
 // ===========================================================================
 namespace {
-
-class Pool {
- public:
-  static Pool& instance() {
-    static Pool pool;
-    return pool;
-  }
-
-  ~Pool() { shutdown(); }
-
-  void ensure_workers(int workers) {
-    if (static_cast<int>(threads_.size()) >= workers) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    while (static_cast<int>(threads_.size()) < workers) {
-      const int id = static_cast<int>(threads_.size());
-      threads_.emplace_back([this, id] { worker_loop(id); });
-    }
-  }
-
-  /// Run fn(part) for part in [0, parts) using parts-1 pooled workers plus
-  /// the caller. Returns after every part has finished.
-  void run(int parts, const std::function<void(int)>& fn) {
-    assert(parts >= 1);
-    if (parts == 1) {
-      fn(0);
-      return;
-    }
-    ensure_workers(parts - 1);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      fn_ = &fn;
-      parts_ = parts;
-      pending_ = parts - 1;
-      ++epoch_;
-    }
-    cv_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    fn_ = nullptr;
-  }
-
- private:
-  void worker_loop(int id) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int)>* fn = nullptr;
-      int part = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return quit_ || (epoch_ != seen && id + 1 < parts_); });
-        if (quit_) return;
-        seen = epoch_;
-        fn = fn_;
-        part = id + 1;  // the caller runs part 0
-      }
-      (*fn)(part);
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  void shutdown() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      quit_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-    threads_.clear();
-  }
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_, done_cv_;
-  const std::function<void(int)>* fn_ = nullptr;
-  int parts_ = 0;
-  int pending_ = 0;
-  std::uint64_t epoch_ = 0;
-  bool quit_ = false;
-};
 
 int g_threads = 0;  // 0 = not yet initialized from the environment
 

@@ -25,9 +25,10 @@
 namespace chatfuzz::ml::kern {
 
 // ---- intra-batch thread splitter -------------------------------------------
-// A small persistent worker pool (the campaign engine's pool idiom, scoped
-// to kernel calls). Default is single-threaded; CHATFUZZ_ML_THREADS seeds
-// the initial value ("0" = all hardware threads). Campaign workers already
+// Kernel calls split across the process-wide worker pool (util/pool.h),
+// which the campaign engine's simulation fan-out shares. Default is
+// single-threaded; CHATFUZZ_ML_THREADS seeds the initial value ("0" = all
+// hardware threads). Campaign workers already
 // parallelize across tests, so kernel threading is opt-in for the training
 // benches that run one big model on an otherwise idle machine.
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace chatfuzz::ml {
 
@@ -64,6 +66,12 @@ std::vector<Generation> Sampler::generate(
     Rng& rng) const {
   const int B = static_cast<int>(prompts.size());
   const int ctx = model.config().ctx;
+  if (cfg_.eos_token < 0 || cfg_.eos_token >= model.config().vocab) {
+    throw std::invalid_argument(
+        "Sampler: eos_token " + std::to_string(cfg_.eos_token) +
+        " outside the model vocabulary of " +
+        std::to_string(model.config().vocab));
+  }
   std::vector<Generation> gens(B);
   for (int b = 0; b < B; ++b) gens[b].prompt = prompts[b];
 

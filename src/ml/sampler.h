@@ -36,7 +36,8 @@ class Sampler {
 
   /// Generate continuations for a batch of prompts (ragged). All prompts
   /// must be non-empty and fit within model ctx together with
-  /// max_new_tokens.
+  /// max_new_tokens. Throws std::invalid_argument when eos_token lies
+  /// outside the model's vocabulary: it is fed to finished lanes.
   std::vector<Generation> generate(const Gpt& model,
                                    const std::vector<std::vector<int>>& prompts,
                                    Rng& rng) const;

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-// Per-simulator telemetry counters (predecode / TLB / superblock hit rates).
+// Per-simulator telemetry counters (predecode / TLB hit rates).
 // Plain uint64 fields: the simulators bump private copies on their hot paths
 // (no atomics per retired instruction) and the campaign worker drains them
 // into the process-wide obs registry once per test via take_obs_counters().
@@ -14,16 +14,12 @@ struct SimCounters {
   std::uint64_t predecode_misses = 0;
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
-  std::uint64_t sb_hits = 0;
-  std::uint64_t sb_builds = 0;
 
   SimCounters& operator+=(const SimCounters& o) {
     predecode_hits += o.predecode_hits;
     predecode_misses += o.predecode_misses;
     tlb_hits += o.tlb_hits;
     tlb_misses += o.tlb_misses;
-    sb_hits += o.sb_hits;
-    sb_builds += o.sb_builds;
     return *this;
   }
 };

@@ -1,4 +1,4 @@
-#include "riscv/superblock.h"
+#include "riscv/bbv.h"
 
 namespace chatfuzz::riscv {
 namespace {

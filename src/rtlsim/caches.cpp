@@ -6,7 +6,7 @@ namespace chatfuzz::rtl {
 
 ICache::ICache(unsigned sets, unsigned ways, unsigned line_bytes)
     : sets_(sets), ways_(ways), line_(line_bytes),
-      lines_(sets * ways), gens_(sets * ways, 0), rr_(sets, 0) {
+      lines_(sets * ways), rr_(sets, 0) {
   for (auto& l : lines_) l.data.resize(line_, 0);
 }
 
@@ -29,7 +29,6 @@ std::uint32_t ICache::fetch(std::uint64_t addr, const sim::Memory& mem,
   if (slot == nullptr) {
     acc.hit = false;
     Line& victim = lines_[set * ways_ + rr_[set]];
-    ++gens_[set * ways_ + rr_[set]];
     rr_[set] = (rr_[set] + 1) % ways_;
     acc.evicted_valid = victim.valid;
     victim.valid = true;
@@ -48,10 +47,7 @@ std::uint32_t ICache::fetch(std::uint64_t addr, const sim::Memory& mem,
 }
 
 void ICache::flush() {
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    lines_[i].valid = false;
-    ++gens_[i];
-  }
+  for (auto& l : lines_) l.valid = false;
 }
 
 void ICache::invalidate_addr(std::uint64_t addr) {
@@ -60,32 +56,8 @@ void ICache::invalidate_addr(std::uint64_t addr) {
   const std::uint64_t tag = la / sets_;
   for (unsigned w = 0; w < ways_; ++w) {
     Line& l = lines_[set * ways_ + w];
-    if (l.valid && l.tag == tag) {
-      l.valid = false;
-      ++gens_[set * ways_ + w];
-    }
+    if (l.valid && l.tag == tag) l.valid = false;
   }
-}
-
-bool ICache::peek(std::uint64_t addr, std::uint32_t* word,
-                  std::uint32_t* line_index) const {
-  const std::uint64_t la = line_addr(addr);
-  const unsigned set = static_cast<unsigned>(la % sets_);
-  const std::uint64_t tag = la / sets_;
-  const std::uint64_t offset = addr % line_;
-  for (unsigned w = 0; w < ways_; ++w) {
-    const Line& l = lines_[set * ways_ + w];
-    if (l.valid && l.tag == tag) {
-      std::uint32_t v = 0;
-      for (unsigned i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(l.data[offset + i]) << (8 * i);
-      }
-      *word = v;
-      *line_index = set * ways_ + w;
-      return true;
-    }
-  }
-  return false;
 }
 
 DCache::DCache(unsigned sets, unsigned ways, unsigned line_bytes)

@@ -35,21 +35,6 @@ class ICache {
   /// core calls this on every store so overlapping lines are invalidated.
   void invalidate_addr(std::uint64_t addr);
 
-  /// Passive probe for the superblock builder: if a valid line covers
-  /// `addr`, serve the cached word (stale or not — exactly what fetch()
-  /// would serve) without touching any cache state, and report which line
-  /// it came from. Returns false on miss; the builder then stops the span
-  /// and leaves the refill to the ordinary fetch path.
-  bool peek(std::uint64_t addr, std::uint32_t* word,
-            std::uint32_t* line_index) const;
-
-  /// Per-line generation counters, bumped whenever a line's ability to
-  /// serve its current bytes changes: miss refills (the victim line now
-  /// holds a different tag), effective invalidations, and flush(). Cached
-  /// superblock spans guard on these cells: unchanged generations mean the
-  /// span's fetches would all still hit and serve identical bytes.
-  const std::vector<std::uint64_t>& line_gens() const { return gens_; }
-
   unsigned sets() const { return sets_; }
 
  private:
@@ -61,7 +46,6 @@ class ICache {
   std::uint64_t line_addr(std::uint64_t addr) const { return addr / line_; }
   unsigned sets_, ways_, line_;
   std::vector<Line> lines_;  // sets_ * ways_
-  std::vector<std::uint64_t> gens_;  // one generation counter per line
   std::vector<unsigned> rr_;  // round-robin replacement pointer per set
 };
 

@@ -182,17 +182,6 @@ void RtlCore::register_points() {
     p_dec_op_.push_back(db_.register_cond(
         "decode.sel." + std::string(riscv::all_specs()[i].mnemonic)));
   }
-  // Batched points for the superblock fast path, in step()'s evaluation
-  // order; the outcome of each is a pure function of (decode, fetch pc), so
-  // build_superblock() precomputes them as FusedSlot::class_bits and the
-  // span exit folds the counts via hit_n(). Counts are order-insensitive:
-  // the DB bins come out identical to per-instruction cc() calls.
-  p_fused_batch_ = {p_dec_valid_, p_dec_load_,   p_dec_store_, p_dec_branch_,
-                    p_dec_jal_,   p_dec_jalr_,   p_dec_aluimm_, p_dec_alureg_,
-                    p_dec_wform_, p_dec_muldiv_, p_dec_div_,    p_dec_amo_,
-                    p_dec_lr_,    p_dec_sc_,     p_dec_csr_,    p_dec_fence_,
-                    p_dec_system_, p_dec_rd_x0_, p_dec_rs1_x0_, p_fetch_cross_};
-
   p_ex_bypass_rs1_ = add("exec.bypass_rs1");
   p_ex_bypass_rs2_ = add("exec.bypass_rs2");
   p_ex_load_use_ = add("exec.load_use_stall");
@@ -442,10 +431,38 @@ void RtlCore::evaluate_cross_units() {
       }
     }
   }
-  // sequence pairs + cache crosses (outcomes shared with the fused loop).
-  bool seq[kMaxSeqPoints];
-  bool cx[kMaxCacheCrossPoints];
-  seq_cache_outcomes(seq, cx);
+  // sequence pairs + cache crosses, in registration order; entries past
+  // p_seq_/p_cache_cross_.size() (reduced cross_depth builds) are computed
+  // but never read.
+  const bool seq[] = {
+      ev_.is_div && prev_ev_.is_div,
+      ev_.is_muldiv && prev_ev_.is_muldiv,
+      ev_.is_branch && prev_ev_.is_branch && prev_ev_.taken,
+      ev_.is_amo && prev_ev_.is_amo,
+      ev_.is_load && prev_ev_.is_store && ev_.has_mem_addr &&
+          prev_ev_.has_mem_addr && ev_.mem_addr == prev_ev_.mem_addr,
+      ev_.mispredict && prev_ev_.mispredict,
+      ev_.trap && prev_ev_.trap,
+      ev_.is_fencei && prev_ev_.is_store,
+      ev_.trap && prev_ev_.csr_write,
+      ev_.is_load && prev_ev_.is_amo,
+      ev_.taken_backward && prev_ev_.taken_backward,
+      ev_.is_jump && prev_ev_.trap,
+  };
+  const bool cx[] = {
+      ev_.dcache_miss && prev_ev_.dcache_miss,
+      ev_.dcache_miss && ev_.icache_miss,
+      ev_.icache_miss && ev_.mispredict,
+      ev_.dcache_hit_dirty,
+      ev_.is_amo && ev_.dcache_miss,
+      ev_.is_lrsc && ev_.dcache_miss,
+      ev_.store_hits_reservation,
+      ev_.trap && ev_.priv == Priv::kUser &&
+          (ev_.cause == Exception::kLoadAccessFault ||
+           ev_.cause == Exception::kStoreAccessFault),
+      ev_.trap && ev_.cause == Exception::kStoreAddrMisaligned,
+      ev_.sc_success && ev_.priv == Priv::kSupervisor,
+  };
   for (std::size_t i = 0; i < p_seq_.size(); ++i) cc(p_seq_[i], seq[i]);
   for (std::size_t i = 0; i < p_cache_cross_.size(); ++i) {
     cc(p_cache_cross_[i], cx[i]);
@@ -458,59 +475,25 @@ void RtlCore::evaluate_cross_units() {
     }
   }
   // cause x privilege: evaluated in raise() via ev_ on trap.
-  if (cfg_.cross_depth >= 2 && ev_.trap) trap_cause_priv_points();
-}
-
-void RtlCore::seq_cache_outcomes(bool* seq, bool* cx) const {
-  // Registration order; entries past p_seq_/p_cache_cross_.size() (reduced
-  // cross_depth builds) are computed but never read.
-  std::size_t s = 0;
-  seq[s++] = ev_.is_div && prev_ev_.is_div;
-  seq[s++] = ev_.is_muldiv && prev_ev_.is_muldiv;
-  seq[s++] = ev_.is_branch && prev_ev_.is_branch && prev_ev_.taken;
-  seq[s++] = ev_.is_amo && prev_ev_.is_amo;
-  seq[s++] = ev_.is_load && prev_ev_.is_store && ev_.has_mem_addr &&
-             prev_ev_.has_mem_addr && ev_.mem_addr == prev_ev_.mem_addr;
-  seq[s++] = ev_.mispredict && prev_ev_.mispredict;
-  seq[s++] = ev_.trap && prev_ev_.trap;
-  seq[s++] = ev_.is_fencei && prev_ev_.is_store;
-  seq[s++] = ev_.trap && prev_ev_.csr_write;
-  seq[s++] = ev_.is_load && prev_ev_.is_amo;
-  seq[s++] = ev_.taken_backward && prev_ev_.taken_backward;
-  seq[s++] = ev_.is_jump && prev_ev_.trap;
-  std::size_t x = 0;
-  cx[x++] = ev_.dcache_miss && prev_ev_.dcache_miss;
-  cx[x++] = ev_.dcache_miss && ev_.icache_miss;
-  cx[x++] = ev_.icache_miss && ev_.mispredict;
-  cx[x++] = ev_.dcache_hit_dirty;
-  cx[x++] = ev_.is_amo && ev_.dcache_miss;
-  cx[x++] = ev_.is_lrsc && ev_.dcache_miss;
-  cx[x++] = ev_.store_hits_reservation;
-  cx[x++] = ev_.trap && ev_.priv == Priv::kUser &&
-            (ev_.cause == Exception::kLoadAccessFault ||
-             ev_.cause == Exception::kStoreAccessFault);
-  cx[x++] = ev_.trap && ev_.cause == Exception::kStoreAddrMisaligned;
-  cx[x++] = ev_.sc_success && ev_.priv == Priv::kSupervisor;
-}
-
-void RtlCore::trap_cause_priv_points() {
-  static const Exception kCauses[7] = {
-      Exception::kIllegalInstruction, Exception::kBreakpoint,
-      Exception::kLoadAddrMisaligned, Exception::kLoadAccessFault,
-      Exception::kStoreAddrMisaligned, Exception::kStoreAccessFault,
-      Exception::kEcallFromU /* placeholder; ecall handled below */};
-  for (int ci = 0; ci < 7; ++ci) {
-    for (int p = 0; p < 2; ++p) {
-      const riscv::Priv priv = p == 0 ? Priv::kUser : Priv::kSupervisor;
-      bool match;
-      if (ci == 6) {
-        match = (ev_.cause == Exception::kEcallFromU ||
-                 ev_.cause == Exception::kEcallFromS) &&
-                ev_.priv == priv;
-      } else {
-        match = ev_.cause == kCauses[ci] && ev_.priv == priv;
+  if (cfg_.cross_depth >= 2 && ev_.trap) {
+    static const Exception kCauses[7] = {
+        Exception::kIllegalInstruction, Exception::kBreakpoint,
+        Exception::kLoadAddrMisaligned, Exception::kLoadAccessFault,
+        Exception::kStoreAddrMisaligned, Exception::kStoreAccessFault,
+        Exception::kEcallFromU /* placeholder; ecall handled below */};
+    for (int ci = 0; ci < 7; ++ci) {
+      for (int p = 0; p < 2; ++p) {
+        const riscv::Priv priv = p == 0 ? Priv::kUser : Priv::kSupervisor;
+        bool match;
+        if (ci == 6) {
+          match = (ev_.cause == Exception::kEcallFromU ||
+                   ev_.cause == Exception::kEcallFromS) &&
+                  ev_.priv == priv;
+        } else {
+          match = ev_.cause == kCauses[ci] && ev_.priv == priv;
+        }
+        cc(p_cross_cause_priv_[ci * 2 + p], match);
       }
-      cc(p_cross_cause_priv_[ci * 2 + p], match);
     }
   }
 }
@@ -539,10 +522,6 @@ void RtlCore::reset(std::span<const std::uint32_t> program) {
   // per-test coverage depend on which tests shared a simulator instance.
   predictor_.flush();
   predecode_.flush();
-  // Cached spans are already stale — icache_.flush() bumped every line
-  // generation — but dropping them keeps the span arena flat across tests.
-  sb_.flush();
-  sb_builds_ = 0;
   flush_tlb();
   cycles_ = 0;
   last_rd_ = 0;
@@ -561,21 +540,7 @@ void RtlCore::reset(std::span<const std::uint32_t> program) {
 }
 
 sim::RunResult RtlCore::run() {
-  // The fused path only models the configuration subset it can replay
-  // exactly: in-order pipeline, deferred select chains (per-instruction
-  // chains would re-order cc() calls), no CLINT (interrupt polling is
-  // per-step), no metric suite (on_step hooks are per-instruction).
-  const bool fused_ok = sb_enabled_ && cfg_.deferred_select_chains &&
-                        !cfg_.superscalar && !plat_.clint_enabled &&
-                        metrics_ == nullptr;
-  if (fused_ok) {
-    while (!stopped_) {
-      if (!translation_active() && run_superblock()) continue;
-      step();
-    }
-  } else {
-    while (!stopped_) step();
-  }
+  while (!stopped_) step();
   if (bbv_ != nullptr) bbv_->on_stop();
   sim::RunResult r;
   r.trace = trace_;
@@ -583,237 +548,6 @@ sim::RunResult RtlCore::run() {
   r.steps = steps_;
   r.final_pc = pc_;
   return r;
-}
-
-const RtlCore::FusedIndex::Span* RtlCore::build_superblock() {
-  FusedIndex::Span& span = sb_.begin_build(pc_);
-  const std::vector<std::uint64_t>& gens = icache_.line_gens();
-  std::uint64_t addr = pc_;
-  for (std::size_t i = 0; i < riscv::kMaxSuperblockLen; ++i, addr += 4) {
-    if (!mem_.in_ram(addr, 4)) break;
-    std::uint32_t raw = 0;
-    std::uint32_t line = 0;
-    if (!icache_.peek(addr, &raw, &line)) {
-      // Word not resident: the span ends here and the slow path's refill
-      // handles it. Guard every way of the set the refill will land in, so
-      // the refill's generation bump retires this span and the rebuild can
-      // extend across the now-resident line.
-      const std::uint32_t set = static_cast<std::uint32_t>(
-          (addr / cfg_.icache_line) % cfg_.icache_sets);
-      for (std::uint32_t w = 0; w < cfg_.icache_ways; ++w) {
-        const std::uint32_t l = set * cfg_.icache_ways + w;
-        if (!sb_.add_guard(span, l, gens[l])) break;
-      }
-      break;
-    }
-    // Guard the serving line: its generation moves on refill-eviction,
-    // effective invalidation and flush — any event after which fetch()
-    // could serve different bytes than peek() just did.
-    if (!sb_.add_guard(span, line, gens[line])) break;
-    if (raw == 0) break;  // end-of-program padding: slow path stops on it
-    FusedSlot slot;
-    slot.d = riscv::decode(raw);
-    if (riscv::superblock_terminator(slot.d)) break;
-    const Decoded& d = slot.d;
-    // Precompute the batched decode-point outcomes exactly as step()
-    // evaluates them (d.valid() is true here — terminators include invalid).
-    std::uint32_t bits = 1u;  // decode.valid
-    bits |= static_cast<std::uint32_t>(is_load_op(d.op)) << 1;
-    bits |= static_cast<std::uint32_t>(is_store_op(d.op)) << 2;
-    bits |= static_cast<std::uint32_t>(is_branch_op(d.op)) << 3;
-    bits |= static_cast<std::uint32_t>(d.op == Opcode::kJal) << 4;
-    bits |= static_cast<std::uint32_t>(d.op == Opcode::kJalr) << 5;
-    bits |= static_cast<std::uint32_t>(is_alu_imm_op(d.op)) << 6;
-    bits |= static_cast<std::uint32_t>(is_alu_reg_op(d.op)) << 7;
-    bits |= static_cast<std::uint32_t>(is_wform_op(d.op)) << 8;
-    bits |= static_cast<std::uint32_t>(riscv::is_muldiv(d.op)) << 9;
-    bits |= static_cast<std::uint32_t>(riscv::is_div(d.op)) << 10;
-    bits |= static_cast<std::uint32_t>(is_amo_op(d.op)) << 11;
-    bits |= static_cast<std::uint32_t>(d.op == Opcode::kLrW ||
-                                       d.op == Opcode::kLrD) << 12;
-    bits |= static_cast<std::uint32_t>(d.op == Opcode::kScW ||
-                                       d.op == Opcode::kScD) << 13;
-    bits |= static_cast<std::uint32_t>(is_csr_op(d.op)) << 14;
-    bits |= static_cast<std::uint32_t>(d.op == Opcode::kFence ||
-                                       d.op == Opcode::kFenceI) << 15;
-    bits |= static_cast<std::uint32_t>(
-                riscv::spec(d.op).format == riscv::Format::kSystem) << 16;
-    bits |= static_cast<std::uint32_t>(d.rd == 0) << 17;
-    bits |= static_cast<std::uint32_t>(d.rs1 == 0) << 18;
-    bits |= static_cast<std::uint32_t>(
-                addr % cfg_.icache_line == cfg_.icache_line - 4) << 19;
-    slot.class_bits = bits;
-    slot.op_index = static_cast<std::uint16_t>(d.op);
-    std::uint16_t evb = 0;
-    evb |= static_cast<std::uint16_t>(is_load_op(d.op)) << 0;
-    evb |= static_cast<std::uint16_t>(is_store_op(d.op)) << 1;
-    evb |= static_cast<std::uint16_t>(is_amo_op(d.op)) << 2;
-    evb |= static_cast<std::uint16_t>((bits >> 12 | bits >> 13) & 1u) << 3;
-    evb |= static_cast<std::uint16_t>(riscv::is_muldiv(d.op)) << 4;
-    evb |= static_cast<std::uint16_t>(riscv::is_div(d.op)) << 5;
-    slot.ev_bits = evb;
-    for (std::size_t j = 0; j < kNumFusedPoints; ++j) {
-      span.extra[j] += (bits >> j) & 1u;
-    }
-    sb_.push(span, slot);
-  }
-  return &span;
-}
-
-bool RtlCore::run_superblock() {
-  if (steps_ >= plat_.max_steps) return false;
-  const std::vector<std::uint64_t>& gens = icache_.line_gens();
-  const FusedIndex::Span* span = sb_.find(pc_, gens);
-  if (span == nullptr) {
-    // Churn guard (see sb_builds_): past the warmup allowance, build at
-    // most one span per 16 committed instructions.
-    if (sb_builds_ > 8 && sb_builds_ * 16 > steps_) return false;
-    ++sb_builds_;
-    ++obs_.sb_builds;
-    span = build_superblock();
-  } else {
-    ++obs_.sb_hits;
-  }
-  if (span->len == 0) return false;
-  const FusedSlot* slots = sb_.slots(*span);
-  const std::uint64_t budget = plat_.max_steps - steps_;
-  const std::uint64_t n = span->len < budget ? span->len : budget;
-  std::uint64_t executed = 0;
-  std::uint64_t ctr_true = 0;  // background ctr-overflow true evaluations
-  // evaluate_cross_units(), batched: the seq/cache-cross points accumulate
-  // true-counts locally and fold at span exit via hit_n — counters are
-  // order-insensitive, so the DB ends bit-identical to per-slot cc() calls.
-  const bool cross_on = cfg_.cross_depth >= 1;
-  const std::size_t n_seq = p_seq_.size();
-  const std::size_t n_cx = p_cache_cross_.size();
-  std::array<std::uint32_t, kMaxSeqPoints> seq_counts{};
-  std::array<std::uint32_t, kMaxCacheCrossPoints> cx_counts{};
-  while (executed < n) {
-    const FusedSlot& s = slots[executed];
-    ev_ = StepEvents{};
-    ev_.priv = priv_;
-    ev_.is_load = (s.ev_bits & (1u << 0)) != 0;
-    ev_.is_store = (s.ev_bits & (1u << 1)) != 0;
-    ev_.is_amo = (s.ev_bits & (1u << 2)) != 0;
-    ev_.is_lrsc = (s.ev_bits & (1u << 3)) != 0;
-    ev_.is_muldiv = (s.ev_bits & (1u << 4)) != 0;
-    ev_.is_div = (s.ev_bits & (1u << 5)) != 0;
-    ++steps_;
-    ++cycles_;
-    CommitRecord rec;
-    rec.pc = pc_;
-    rec.instr = s.d.raw;
-    rec.priv = priv_;
-    cur_op_index_ = s.op_index;
-    ++chain_steps_;
-    ++op_count_[cur_op_index_];
-    // evaluate_background_units(): the instret comparison runs before
-    // execute() in the slow path; the irq/debug outcomes are constant over
-    // the span (CSR ops terminate spans, no CLINT) and fold at exit.
-    ctr_true += static_cast<std::uint64_t>(csrs_.instret > (1ull << 62));
-    execute(s.d, rec);
-    if (rec.exception == Exception::kNone) ++csrs_.instret;
-    if (cross_on) {
-      const int pidx = ev_.priv == Priv::kUser         ? 0
-                       : ev_.priv == Priv::kSupervisor ? 1
-                                                       : -1;
-      if (pidx >= 0) {
-        if (!p_cross_priv_class_.empty()) {
-          const bool classes[8] = {ev_.is_load,   ev_.is_store, ev_.is_amo,
-                                   ev_.is_lrsc,   ev_.is_csr,   ev_.is_muldiv,
-                                   ev_.is_fencei, ev_.is_branch};
-          for (int c = 0; c < 8; ++c) {
-            priv_class_count_[static_cast<std::size_t>(pidx) * 8 +
-                              static_cast<std::size_t>(c)] +=
-                classes[c] ? 1 : 0;
-          }
-        }
-        if (!p_cross_op_priv_.empty()) {
-          ++op_priv_count_[static_cast<std::size_t>(pidx) *
-                               (riscv::kNumOpcodes + 1) +
-                           cur_op_index_];
-        }
-      }
-      bool seq[kMaxSeqPoints];
-      bool cx[kMaxCacheCrossPoints];
-      seq_cache_outcomes(seq, cx);
-      for (std::size_t j = 0; j < n_seq; ++j) seq_counts[j] += seq[j];
-      for (std::size_t j = 0; j < n_cx; ++j) cx_counts[j] += cx[j];
-      // Per-CSR write points are gated on is_csr (a span terminator) and
-      // the cause x priv block on trap — the only per-slot cc() left.
-      if (cfg_.cross_depth >= 2 && ev_.trap) trap_cause_priv_points();
-    }
-    prev_ev_ = ev_;
-    std::uint64_t pack = static_cast<std::uint64_t>(s.d.op);
-    pack |= 1ull << 7;  // fused fetches are guaranteed I$ hits
-    pack |= static_cast<std::uint64_t>(rec.has_mem) << 8;
-    pack |= static_cast<std::uint64_t>(rec.exception != Exception::kNone) << 9;
-    pack |= static_cast<std::uint64_t>(static_cast<unsigned>(priv_)) << 10;
-    pack |= static_cast<std::uint64_t>(rec.has_rd_write) << 12;
-    ctrl_cov_.observe(pack);
-    ctrl_cov_.observe(pack ^ (last_ctrl_pack_ << 13));
-    last_ctrl_pack_ = pack;
-    if (sink_ != nullptr) {
-      sink_->on_commit(rec);
-    } else {
-      trace_.push_back(rec);
-    }
-    if (bbv_ != nullptr) {
-      bbv_->on_commit(rec.pc, pc_, rec.exception != Exception::kNone);
-    }
-    ++executed;
-    if (rec.exception != Exception::kNone) {
-      // The magic trampoline resumes at the faulting pc + 4 — the span's
-      // fall-through — so execution stays in-span unless the trap delegated
-      // into an S-mode translation context.
-      if (translation_active()) break;
-    } else if (rec.has_mem && rec.mem_is_store &&
-               !FusedIndex::fresh(*span, gens)) {
-      // The store invalidated an I$ line under this very span (only
-      // possible with the stale-I$ bug off): remaining slots may decode
-      // bytes fetch() would no longer serve, so re-fetch via the slow path.
-      break;
-    }
-  }
-  // ---- span-exit folds of the batched per-instruction points ----
-  std::array<std::uint32_t, kNumFusedPoints> counts{};
-  if (executed == span->len) {
-    counts = span->extra;
-  } else {
-    for (std::uint64_t i = 0; i < executed; ++i) {
-      for (std::size_t j = 0; j < kNumFusedPoints; ++j) {
-        counts[j] += (slots[i].class_bits >> j) & 1u;
-      }
-    }
-  }
-  const std::uint64_t k = executed;
-  for (std::size_t j = 0; j < kNumFusedPoints; ++j) {
-    db_.hit_n(p_fused_batch_[j], true, counts[j]);
-    db_.hit_n(p_fused_batch_[j], false, k - counts[j]);
-  }
-  db_.hit_n(p_ic_hit_, true, k);
-  if (!p_tlb_.empty()) db_.hit_n(p_tlb_[0], false, k);  // MMU found Bare
-  for (std::size_t i = 0; i < p_irq_pending_.size(); ++i) {
-    const std::uint64_t bit = 1ull << (1 + 2 * i);
-    db_.hit_n(p_irq_pending_[i], (csrs_.mie & csrs_.mip & bit) != 0, k);
-  }
-  if (cfg_.cross_depth >= 2) {
-    db_.hit_n(p_debug_halt_, false, k);
-    db_.hit_n(p_debug_step_, false, k);
-    db_.hit_n(p_ctr_overflow_, true, ctr_true);
-    db_.hit_n(p_ctr_overflow_, false, k - ctr_true);
-  }
-  if (cross_on) {
-    for (std::size_t j = 0; j < n_seq; ++j) {
-      db_.hit_n(p_seq_[j], true, seq_counts[j]);
-      db_.hit_n(p_seq_[j], false, k - seq_counts[j]);
-    }
-    for (std::size_t j = 0; j < n_cx; ++j) {
-      db_.hit_n(p_cache_cross_[j], true, cx_counts[j]);
-      db_.hit_n(p_cache_cross_[j], false, k - cx_counts[j]);
-    }
-  }
-  return executed > 0;
 }
 
 bool RtlCore::csr_read(std::uint16_t addr, std::uint64_t& value,

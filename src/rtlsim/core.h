@@ -23,9 +23,9 @@
 #include "isasim/memory.h"
 #include "isasim/platform.h"
 #include "isasim/trace.h"
+#include "riscv/bbv.h"
 #include "riscv/instr.h"
 #include "riscv/predecode.h"
-#include "riscv/superblock.h"
 #include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
@@ -77,14 +77,6 @@ class RtlCore final : public DutCore {
   /// empty and run() returns an empty RunResult::trace — the streaming path
   /// never materializes one.
   void set_sink(sim::CommitSink* sink) override { sink_ = sink; }
-
-  /// Enable/disable the fused-fetch superblock fast path in run(). Purely a
-  /// speed knob: commits, cycles, coverage bins and ctrl-reg observations
-  /// are bit-identical either way (the determinism suites pin this). The
-  /// fast path also self-disables for configs it cannot fuse (superscalar,
-  /// per-instruction select chains, CLINT, attached metrics).
-  void set_superblocks(bool on) override { sb_enabled_ = on; }
-  bool superblocks() const { return sb_enabled_; }
 
   /// Attach a basic-block-vector recorder; every committed instruction is
   /// reported as (pc, next_pc) so the recorder can close blocks on control
@@ -149,44 +141,8 @@ class RtlCore final : public DutCore {
   /// Poll the CLINT and enter a pending M-mode interrupt if enabled.
   void service_interrupts();
 
-  // ---- superblock fused-fetch fast path (see riscv/superblock.h) -----------
-  // A cached span stores, per instruction, the decode plus every
-  // decode-derived coverage outcome precomputed as bit masks; executing the
-  // span replays execute()/cross-unit/ctrl-reg work per slot but batches the
-  // per-instruction condition points into hit_n() folds at span exit —
-  // counts are order-insensitive, so the DB bytes come out identical.
-  struct FusedSlot {
-    riscv::Decoded d;
-    std::uint32_t class_bits = 0;  // outcome of each batched point, by index
-    std::uint16_t op_index = 0;    // decoded opcode index (select chains)
-    std::uint16_t ev_bits = 0;     // StepEvents class-flag template
-  };
-  // Batched per-instruction points: the 19 decode-stage points in step()
-  // evaluation order, then fetch.cross_line — everything whose outcome is a
-  // pure function of (decode, fetch address).
-  static constexpr std::size_t kNumFusedPoints = 20;
-  using FusedIndex =
-      riscv::SuperblockIndex<FusedSlot,
-                             std::array<std::uint32_t, kNumFusedPoints>>;
-  /// Execute cached spans starting at pc_; returns false when the slow
-  /// step() must handle this pc (no span, negative span, budget exhausted).
-  bool run_superblock();
-  const FusedIndex::Span* build_superblock();
-
-  // Superblock span cache: derived state (never checkpointed), guarded by
-  // the I$ per-line generation counters — unchanged generations mean every
-  // fetch in the span would still hit and serve identical bytes, so the
-  // stale-I$ bug injection keeps its exact semantics.
-  bool sb_enabled_ = true;
-  FusedIndex sb_;
   // Telemetry tallies (see take_obs_counters); never read architecturally.
   obs::SimCounters obs_;
-
-  // Span-build churn guard (same policy as IsaSim::sb_builds_): once builds
-  // outpace ~1 per 16 committed instructions, stop building for the rest of
-  // the test and serve only already-cached spans. Purely a speed valve.
-  std::uint64_t sb_builds_ = 0;
-  std::array<cov::PointId, kNumFusedPoints> p_fused_batch_{};
   riscv::BbvRecorder* bbv_ = nullptr;
 
   CoreConfig cfg_;
@@ -303,16 +259,6 @@ class RtlCore final : public DutCore {
     bool sc_success = false;
   };
   void evaluate_cross_units();
-  /// Outcomes of the sequence-pair and cache-cross condition points for the
-  /// current (ev_, prev_ev_) pair, in registration order. One source of
-  /// truth for both paths: evaluate_cross_units() feeds them through cc()
-  /// per instruction, the fused span loop accumulates true-counts locally
-  /// and folds them at span exit via hit_n.
-  static constexpr std::size_t kMaxSeqPoints = 12;
-  static constexpr std::size_t kMaxCacheCrossPoints = 10;
-  void seq_cache_outcomes(bool* seq, bool* cx) const;
-  /// The cause x privilege cross block (trap instructions only).
-  void trap_cause_priv_points();
 
   StepEvents ev_;       // current instruction
   StepEvents prev_ev_;  // previous instruction

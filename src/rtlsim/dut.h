@@ -16,8 +16,8 @@
 #include "obs/sim_counters.h"
 #include "isasim/platform.h"
 #include "isasim/trace.h"
+#include "riscv/bbv.h"
 #include "riscv/instr.h"
-#include "riscv/superblock.h"
 #include "rtlsim/config.h"
 
 namespace chatfuzz::rtl {
@@ -49,11 +49,11 @@ class DutCore {
   virtual void attach_metrics(cov::MetricSuite* metrics) = 0;
   virtual void set_reg_seed(std::uint64_t seed) = 0;
   virtual void set_sink(sim::CommitSink* sink) = 0;
-  /// Speed knob; backends without a fused path treat it as a no-op.
-  virtual void set_superblocks(bool on) = 0;
   virtual void set_bbv(riscv::BbvRecorder* bbv) = 0;
+  // No-op; its only caller is the frozen benchmark driver perfbench/driver.cpp.
+  void set_superblocks(bool) {}
 
-  /// Telemetry counters (predecode/TLB/superblock hit rates) accumulated
+  /// Telemetry counters (predecode/TLB hit rates) accumulated
   /// since the last take; taking zeroes them. Observation-only — default
   /// zero for backends without instrumentation.
   virtual obs::SimCounters take_obs_counters() { return {}; }

@@ -33,9 +33,9 @@
 #include "isasim/memory.h"
 #include "isasim/platform.h"
 #include "isasim/trace.h"
+#include "riscv/bbv.h"
 #include "riscv/instr.h"
 #include "riscv/predecode.h"
-#include "riscv/superblock.h"
 #include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
@@ -75,9 +75,6 @@ class OooCore final : public DutCore {
   void attach_metrics(cov::MetricSuite*) override {}
   void set_reg_seed(std::uint64_t seed) override { plat_.reg_seed = seed; }
   void set_sink(sim::CommitSink* sink) override { sink_ = sink; }
-  /// No fused-fetch path in this backend; the knob is accepted so campaign
-  /// configs apply uniformly across DUT lists.
-  void set_superblocks(bool) override {}
   void set_bbv(riscv::BbvRecorder* bbv) override { bbv_ = bbv; }
 
   obs::SimCounters take_obs_counters() override {

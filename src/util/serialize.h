@@ -137,6 +137,9 @@ class Writer {
 class Reader {
  public:
   explicit Reader(std::string_view data) : data_(data) {}
+  /// The reader only views its bytes: reading a temporary string would
+  /// parse freed memory, so bind the bytes to a named string first.
+  explicit Reader(std::string&&) = delete;
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }
   std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }

@@ -278,65 +278,31 @@ std::string read_bytes(const std::string& path) {
   return buf.str();
 }
 
-TEST(CampaignDeterminism, SuperblockDispatchIsResultInvariant) {
-  // The tentpole guarantee: superblock dispatch is a pure speedup. Turning
-  // it off (interpreter fetch/decode every step) must reproduce the exact
-  // campaign result, at any worker count.
-  const CampaignConfig on = small_campaign();
-  CampaignConfig off = on;
-  off.superblocks = false;
-  const CampaignResult a = run_with_workers(on, 1);
-  expect_identical(a, run_with_workers(off, 1));
-  expect_identical(a, run_with_workers(off, 4));
-  expect_identical(a, run_with_workers(on, 4));
-}
-
-TEST(CampaignDeterminism, PrivVmSuperblockDispatchIsResultInvariant) {
-  // Same invariance under trap/translation-dense stimulus, where spans are
-  // cut short by traps, satp writes and sfence.vma — the hard cases for the
-  // fused path's boundary re-checks.
-  const auto run = [](bool superblocks, std::size_t workers) {
-    PrivCorpusFuzzer gen(77);
-    CampaignConfig c = small_campaign();
-    c.superblocks = superblocks;
-    c.num_workers = workers;
-    return run_campaign(gen, c);
-  };
-  const CampaignResult a = run(true, 1);
-  expect_identical(a, run(false, 1));
-  expect_identical(a, run(false, 4));
-  EXPECT_GT(a.raw_mismatches, 0u);  // the injected bugs still fire
-}
-
-TEST(CampaignDeterminism, BbvFilesAreDispatchAndWorkerCountInvariant) {
+TEST(CampaignDeterminism, BbvFilesAreWorkerCountInvariant) {
   // Basic-block vectors are a pure function of the committed instruction
-  // stream: the --bbv file must be byte-identical whichever dispatch engine
-  // produced it and however many workers folded it.
+  // stream: the --bbv file must be byte-identical however many workers
+  // folded it.
   const std::string dir = ::testing::TempDir() + "/bbv_invariance";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  const auto run = [&](const char* name, bool superblocks,
-                       std::size_t workers) {
+  const auto run = [&](const char* name, std::size_t workers) {
     PrivCorpusFuzzer gen(77);
     CampaignConfig c = small_campaign();
-    c.superblocks = superblocks;
     c.num_workers = workers;
     c.bbv_path = dir + "/" + name;
     run_campaign(gen, c);
     return read_bytes(c.bbv_path);
   };
-  const std::string reference = run("on_w1.bbv", true, 1);
+  const std::string reference = run("w1.bbv", 1);
   EXPECT_FALSE(reference.empty());
-  EXPECT_EQ(reference, run("off_w1.bbv", false, 1));
-  EXPECT_EQ(reference, run("on_w4.bbv", true, 4));
-  EXPECT_EQ(reference, run("off_w4.bbv", false, 4));
+  EXPECT_EQ(reference, run("w4.bbv", 4));
 }
 
-TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
-  // superblocks/bbv_path are per-run knobs, never serialized: a campaign
-  // checkpointed with superblocks ON resumes bit-identically with them OFF
-  // (and vice versa), including the BBV log across the resume cut.
-  const std::string dir = ::testing::TempDir() + "/sb_toggle_resume";
+TEST(CampaignDeterminism, ResumeWithBbvMatchesUninterrupted) {
+  // bbv_path is a per-run knob, never serialized: a campaign checkpointed
+  // mid-run resumes bit-identically at another worker count, including the
+  // BBV log across the resume cut.
+  const std::string dir = ::testing::TempDir() + "/bbv_resume";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   CampaignResult reference;
@@ -361,7 +327,6 @@ TEST(CampaignDeterminism, ResumeWithSuperblocksToggledMatches) {
   PrivCorpusFuzzer fresh(12345);  // state comes from disk, not the seed
   ResumeOptions opts;
   opts.num_workers = 4;
-  opts.superblocks = false;  // toggled across the cut
   opts.bbv_path = dir + "/cut.bbv";
   expect_identical(reference, resume_campaign(fresh, ckpt, opts));
   EXPECT_EQ(read_bytes(dir + "/ref.bbv"), read_bytes(dir + "/cut.bbv"));

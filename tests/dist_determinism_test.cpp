@@ -296,14 +296,14 @@ TEST(DistDeterminism, CheckpointResumeCutCanSwitchTopology) {
   fs::remove_all(db);
 }
 
-TEST(DistDeterminism, SuperblockToggleAndBbvCrossProcessBoundary) {
-  // The dispatch engine and BBV collection ride the config wire (they are
-  // per-run knobs, never checkpointed): a 2-process campaign with
-  // superblocks OFF must fold to the same result and persisted bytes as a
-  // single-process superblock run, and the coordinator-written BBV files
-  // must match byte-for-byte (workers collect, the coordinator writes).
+TEST(DistDeterminism, BbvCrossesProcessBoundary) {
+  // BBV collection rides the config wire (a per-run knob, never
+  // checkpointed): a 2-process campaign must fold to the same result and
+  // persisted bytes as a single-process run, and the coordinator-written
+  // BBV files must match byte-for-byte (workers collect, the coordinator
+  // writes).
   const CampaignConfig cfg = small_campaign();
-  const std::string da = fresh_dir("sb_a"), db = fresh_dir("sb_b");
+  const std::string da = fresh_dir("bbv_a"), db = fresh_dir("bbv_b");
   CampaignResult a, b;
   {
     baselines::RandomFuzzer gen(11);
@@ -317,7 +317,6 @@ TEST(DistDeterminism, SuperblockToggleAndBbvCrossProcessBoundary) {
   {
     baselines::RandomFuzzer gen(11);
     CampaignConfig c = cfg;
-    c.superblocks = false;
     c.dist.num_procs = 2;
     c.num_workers = 2;
     c.checkpoint_dir = db;
@@ -451,7 +450,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   cfg.use_suite = true;
   cfg.worker_index = 3;
   cfg.max_lease_tests = 4;
-  cfg.superblocks = false;
   cfg.collect_bbv = true;
   dist::ConfigMsg cfg2;
   ASSERT_TRUE(dist::decode_config(dist::encode_config(cfg), &cfg2).ok());
@@ -462,7 +460,6 @@ TEST(DistProtocol, MessageRoundTrips) {
   EXPECT_TRUE(cfg2.use_suite);
   EXPECT_EQ(cfg2.worker_index, 3u);
   EXPECT_EQ(cfg2.max_lease_tests, 4u);
-  EXPECT_FALSE(cfg2.superblocks);
   EXPECT_TRUE(cfg2.collect_bbv);
 
   dist::HelloMsg hello;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "ml/adamw.h"
 #include "ml/gpt.h"
@@ -225,7 +227,8 @@ TEST(Sampler, DeterministicUnderFixedSeed) {
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 12;
-  sc.eos_token = 999;  // never sampled: outside vocab
+  sc.stop_at_eos = false;  // never stop early
+  sc.eos_token = cfg.vocab - 1;  // in vocab: finished lanes are fed it
   Sampler sampler(sc);
   Rng r1(5), r2(5);
   const std::vector<std::vector<int>> prompts = {{1, 2, 3}, {4}};
@@ -237,12 +240,30 @@ TEST(Sampler, DeterministicUnderFixedSeed) {
   }
 }
 
+TEST(Sampler, OutOfVocabEosThrows) {
+  // Finished lanes are fed eos_token, so an id the model cannot embed must
+  // be rejected up front rather than read past the embedding table.
+  const GptConfig cfg = GptConfig::tiny();
+  Gpt model(cfg, 30);
+  SampleConfig sc;
+  sc.eos_token = cfg.vocab;
+  Sampler sampler(sc);
+  Rng rng(5);
+  EXPECT_THROW(sampler.generate(model, {{1, 2, 3}, {4}}, rng),
+               std::invalid_argument);
+  Gpt::GenState state = model.gen_begin(1);
+  std::vector<float> logits(cfg.vocab);
+  const int bad = cfg.vocab;
+  EXPECT_THROW(model.gen_step(state, &bad, logits.data()), std::out_of_range);
+}
+
 TEST(Sampler, RespectsMaxNewTokens) {
   const GptConfig cfg = GptConfig::tiny();
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 7;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;
+  sc.eos_token = cfg.vocab - 1;
   Sampler sampler(sc);
   Rng rng(5);
   const auto gens = sampler.generate(model, {{1, 2}}, rng);
@@ -270,7 +291,8 @@ TEST(Sampler, LogpsAreSane) {
   Gpt model(cfg, 30);
   SampleConfig sc;
   sc.max_new_tokens = 5;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;
+  sc.eos_token = cfg.vocab - 1;
   Sampler sampler(sc);
   Rng rng(5);
   const auto gens = sampler.generate(model, {{1, 2, 3}}, rng);
@@ -322,7 +344,8 @@ TEST(Ppo, PolicyLearnsRewardedToken) {
   PpoTrainer ppo(policy, ref, pc);
   SampleConfig sc;
   sc.max_new_tokens = 6;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;
+  sc.eos_token = cfg.vocab - 1;
   sc.top_k = 0;
   Sampler sampler(sc);
   Rng rng(8);
@@ -357,7 +380,8 @@ TEST(Ppo, StatsArePopulated) {
   PpoTrainer ppo(policy, ref, PpoConfig{});
   SampleConfig sc;
   sc.max_new_tokens = 6;
-  sc.eos_token = 999;
+  sc.stop_at_eos = false;
+  sc.eos_token = cfg.vocab - 1;
   Sampler sampler(sc);
   Rng rng(3);
   const auto gens = sampler.generate(policy, {{1}, {2}}, rng);

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -299,6 +300,37 @@ TEST(ObsCampaign, TraceAndStatsExportsAreWellFormed) {
   fs::remove(stats2);
 }
 
+TEST(ObsCampaign, SimulationReusesPoolThreadsAcrossBatches) {
+  // Every batch fans out over the process-wide worker pool, so a traced
+  // 4-worker campaign records its per-test spans on at most 4 threads (the
+  // caller plus 3 pool threads) however many batches it runs. A fresh set
+  // of threads per batch would show ~3 new tids per batch here — and leak a
+  // trace ring per thread.
+  CampaignConfig cfg = small_campaign();
+  cfg.num_tests = 24 * cfg.batch_size;
+  cfg.platform.max_steps = 2048;  // tests long enough to reach every stack
+  const std::string dir = fresh_dir("pool_tids");
+  const std::string trace = dir + ".trace.json";
+  const std::string stats = dir + ".stats.ndjson";
+  run_traced(cfg, /*procs=*/1, /*workers=*/4, dir, trace, stats);
+
+  const std::string json = file_bytes(trace);
+  const std::string key = "\"name\":\"sim.run_one\"";
+  std::set<std::string> tids;
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + key.size())) {
+    const std::size_t tid = json.find("\"tid\":", at);
+    ASSERT_NE(tid, std::string::npos);
+    const std::size_t end = json.find('}', tid);
+    tids.insert(json.substr(tid, end - tid));
+  }
+  EXPECT_FALSE(tids.empty());
+  EXPECT_LE(tids.size(), 4u);
+  fs::remove_all(dir);
+  fs::remove(trace);
+  fs::remove(stats);
+}
+
 // ---------------------------------------------------------------------------
 // The out-of-band contract: telemetry on vs off is byte-identical.
 // ---------------------------------------------------------------------------
@@ -403,15 +435,23 @@ TEST(ObsFleet, StatusQueryAgainstLiveCoordinator) {
   const std::string hp = wait_for_port(port_file);
   ASSERT_FALSE(hp.empty()) << "coordinator never wrote its port file";
 
-  // A status peer with the right token gets one reply and a close.
+  // A status peer with the right token gets one reply and a close. The
+  // workers join on their own schedule (slowly under sanitizers), so poll
+  // until one is live or the deadline passes.
   dist::StatsReplyMsg reply;
   std::string err;
-  ASSERT_TRUE(dist::fleet_status_query(hp, "obs-test-token", &reply, &err))
-      << err;
+  bool any_live = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    ASSERT_TRUE(dist::fleet_status_query(hp, "obs-test-token", &reply, &err))
+        << err;
+    for (const dist::PeerStatusEntry& p : reply.peers) any_live |= p.alive;
+    if (any_live || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
   EXPECT_FALSE(reply.peers.empty());
   EXPECT_FALSE(reply.metrics.empty());
-  bool any_live = false;
-  for (const dist::PeerStatusEntry& p : reply.peers) any_live |= p.alive;
   EXPECT_TRUE(any_live);
   const std::string text = dist::render_fleet_status(reply);
   EXPECT_NE(text.find("fleet:"), std::string::npos);

@@ -173,17 +173,17 @@ TEST(PredecodeIsaSim, RepeatedResetsReplayIdentically) {
   }
 }
 
-// ---- Superblock span invalidation ------------------------------------------
+// ---- Self-modifying code through the dispatch loop -------------------------
 //
-// These drive IsaSim with superblock dispatch (default-on): straight-line
-// runs of ALU ops are cached as decoded spans guarded by per-page store
-// generations, and the tests check the guards actually retire spans when
-// code under them changes.
+// These drive IsaSim's run() loop over straight-line runs of ALU ops that
+// execute more than once, so every word is served from the predecode cache
+// on the second pass; the tests check that a store (or fence.i) over code
+// already cached retires exactly the stale decodes.
 
-TEST(SuperblockIsaSim, StoreIntoMiddleOfCachedSpanIsHonored) {
-  // A straight-line run forms one cached span; pass 1 executes it (and
-  // caches it), then a store patches an instruction in the MIDDLE of the
-  // span. Pass 2 must re-decode, not replay the stale slot.
+TEST(PredecodeIsaSim, StoreIntoMiddleOfCachedSpanIsHonored) {
+  // Pass 1 executes (and caches) a straight-line run, then a store patches
+  // an instruction in the MIDDLE of the run. Pass 2 must re-decode, not
+  // replay the stale slot.
   const std::uint64_t base = 0x8000'0000ull;
   const std::uint32_t patched =
       chatfuzz::riscv::enc_i(Opcode::kAddi, 5, 0, 99);
@@ -207,18 +207,16 @@ TEST(SuperblockIsaSim, StoreIntoMiddleOfCachedSpanIsHonored) {
   const std::vector<std::uint32_t> prog = b.seal();
 
   IsaSim sim;
-  ASSERT_TRUE(sim.superblocks());
   sim.reset(prog);
   sim.run();
   EXPECT_EQ(sim.reg(5), 99u);
   EXPECT_EQ(sim.reg(10), 2u);
 }
 
-TEST(SuperblockIsaSim, CrossPageSpanInvalidatedByStoreToSecondPage) {
-  // The span starts in the last words of one 4 KiB page and runs into the
-  // next: each page contributes its own store-generation guard. Patching
-  // the slot in the SECOND page must retire the span even though the span's
-  // start pc lives in the first page.
+TEST(PredecodeIsaSim, CrossPageSpanInvalidatedByStoreToSecondPage) {
+  // The run starts in the last words of one 4 KiB page and continues into
+  // the next. Patching the slot in the SECOND page must be honored even
+  // though the run's start pc lives in the first page.
   const std::uint64_t base = 0x8000'0000ull;
   const std::uint32_t patched =
       chatfuzz::riscv::enc_i(Opcode::kAddi, 5, 0, 99);
@@ -255,11 +253,10 @@ TEST(SuperblockIsaSim, CrossPageSpanInvalidatedByStoreToSecondPage) {
   EXPECT_EQ(sim.reg(10), 2u);
 }
 
-TEST(SuperblockIsaSim, FenceIAfterPartialSpanOverwrite) {
-  // Overwrite one word of a cached span, then fence.i before re-entering
-  // it. The fence bumps the global flush epoch (and is itself a span
-  // terminator, so it never executes from inside a span); the re-entry
-  // must decode the new bytes.
+TEST(PredecodeIsaSim, FenceIAfterPartialSpanOverwrite) {
+  // Overwrite one word of a cached run, then fence.i (which flushes the
+  // whole predecode cache) before re-entering it; the re-entry must decode
+  // the new bytes.
   const std::uint64_t base = 0x8000'0000ull;
   const std::uint32_t patched =
       chatfuzz::riscv::enc_i(Opcode::kAddi, 5, 0, 99);

@@ -79,7 +79,8 @@ TEST(Serialize, ReaderNeverCrashesOnTruncation) {
   w.str("payload");
   const std::string full = w.buffer();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    ser::Reader r(full.substr(0, cut));
+    const std::string prefix = full.substr(0, cut);
+    ser::Reader r(prefix);
     (void)r.u64();
     (void)r.vec_u64();
     (void)r.str();
@@ -239,7 +240,8 @@ TEST(SnapshotRoundTrip, CoverageDbTruncationsFailCleanly) {
   db.save_state(w);
   for (std::size_t cut = 0; cut < w.buffer().size(); ++cut) {
     cov::CoverageDB other = make_db(16);
-    ser::Reader r(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader r(prefix);
     EXPECT_FALSE(other.restore_state(r)) << "prefix " << cut;
   }
 }
@@ -308,7 +310,8 @@ TEST(SnapshotRoundTrip, MetricSuiteTruncationsFailCleanly) {
   // Sample the cuts (the blob is a few KiB; step keeps the test fast).
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 7) {
     cov::MetricSuite restored;
-    ser::Reader r(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader r(prefix);
     EXPECT_FALSE(restored.restore_state(r)) << "prefix " << cut;
   }
 }
@@ -349,7 +352,8 @@ TEST(SnapshotRoundTrip, MismatchDetectorTallyBitExact) {
 
   for (std::size_t cut = 0; cut < w.buffer().size(); ++cut) {
     mismatch::MismatchDetector other;
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }
@@ -404,13 +408,12 @@ TEST(SnapshotRoundTrip, CorpusStorePersistsAcrossReopen) {
   }
 }
 
-TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngineAndBbv) {
-  // The superblock span caches are derived microarchitectural state and BBV
-  // collection is observation-only: neither may leak into a checkpoint. A
-  // campaign cut at the same test count must write byte-identical
-  // campaign.ckpt files with superblocks+BBV on and with both off.
-  const auto run_cut = [](const char* tag, bool superblocks, bool bbv) {
-    const std::string dir = temp_path(std::string("ckpt_sb_") + tag);
+TEST(SnapshotRoundTrip, CheckpointBytesIgnoreBbv) {
+  // BBV collection is observation-only: it may not leak into a checkpoint.
+  // A campaign cut at the same test count must write byte-identical
+  // campaign.ckpt files with BBV collection on and off.
+  const auto run_cut = [](const char* tag, bool bbv) {
+    const std::string dir = temp_path(std::string("ckpt_bbv_") + tag);
     std::filesystem::remove_all(dir);
     baselines::RandomFuzzer gen(11);
     core::CampaignConfig cfg;
@@ -418,7 +421,6 @@ TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngineAndBbv) {
     cfg.batch_size = 32;
     cfg.checkpoint_every = 10;
     cfg.platform.max_steps = 256;
-    cfg.superblocks = superblocks;
     cfg.checkpoint_dir = dir;
     cfg.stop_after_tests = 40;
     if (bbv) cfg.bbv_path = dir + "/log.bbv";
@@ -426,9 +428,9 @@ TEST(SnapshotRoundTrip, CheckpointBytesIgnoreDispatchEngineAndBbv) {
     std::ifstream f(core::checkpoint_path(dir), std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(f), {});
   };
-  const std::string with = run_cut("on", true, true);
+  const std::string with = run_cut("on", true);
   ASSERT_FALSE(with.empty());
-  EXPECT_EQ(with, run_cut("off", false, false));
+  EXPECT_EQ(with, run_cut("off", false));
 }
 
 TEST(SnapshotRoundTrip, CheckpointCampaignConfigRoundTripsDutList) {
@@ -474,7 +476,8 @@ TEST(SnapshotRoundTrip, CheckpointCampaignConfigRoundTripsDutList) {
   // and the per-backend records (the n_duts payload-bound guard).
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 3) {
     core::CampaignConfig other;
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(core::read_campaign_config(rc, other)) << "prefix " << cut;
   }
 }
@@ -623,7 +626,8 @@ TEST(SnapshotRoundTrip, BpeVocabBitExact) {
 
   for (std::size_t cut = 0; cut + 1 < w.buffer().size(); cut += 3) {
     ml::BpeTokenizer other = ml::BpeTokenizer::train(data, 259);
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }
@@ -674,7 +678,8 @@ TEST(SnapshotRoundTrip, MutationalFuzzerContinuesIdentically) {
 
   for (std::size_t cut = 0; cut < w.buffer().size(); cut += 11) {
     baselines::TheHuzzFuzzer other(1);
-    ser::Reader rc(w.buffer().substr(0, cut));
+    const std::string prefix = w.buffer().substr(0, cut);
+    ser::Reader rc(prefix);
     EXPECT_FALSE(other.restore_state(rc)) << "prefix " << cut;
   }
 }

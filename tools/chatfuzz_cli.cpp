@@ -46,8 +46,8 @@
 #include "isasim/sim.h"
 #include "mismatch/minimize.h"
 #include "riscv/asm.h"
+#include "riscv/bbv.h"
 #include "riscv/disasm.h"
-#include "riscv/superblock.h"
 #include "rtlsim/core.h"
 #include "rtlsim/dut.h"
 #include "util/parse.h"
@@ -73,7 +73,7 @@ constexpr CommandDoc kCommands[] = {
     {"fuzz",
      "<fuzzer> <tests> [workers] [--dut <list>] [--procs <n>] "
      "[--listen <host:port>] [--token <t>] [--port-file <f>] "
-     "[--checkpoint <dir>] [--every <n>] [--bbv <file>] [--no-superblocks] "
+     "[--checkpoint <dir>] [--every <n>] [--bbv <file>] "
      "[--trace <f.json>] [--stats <f.ndjson>] [--stats-every <ms>]",
      "campaign; fuzzer = random|thehuzz|difuzz|psofuzz|hypfuzz|chatfuzz;\n"
      "workers = simulation threads per process (default 1, 0 = all cores);\n"
@@ -92,18 +92,17 @@ constexpr CommandDoc kCommands[] = {
      "exit as paused.\n"
      "--checkpoint snapshots state + corpus to <dir> every <n> tests;\n"
      "--bbv records per-test basic-block vectors to <file>;\n"
-     "--no-superblocks disables superblock dispatch (same results, slower);\n"
      "--trace writes a Chrome trace_event JSON of engine/ML/dist spans\n"
      "(load in Perfetto); --stats appends a metrics snapshot to <f.ndjson>\n"
      "every --stats-every ms (default 1000). Telemetry is out-of-band:\n"
      "results are byte-identical with it on or off"},
     {"fuzz", "--resume <dir> [workers] [--procs <n>] [--listen <host:port>] "
-     "[--token <t>] [--port-file <f>] [--bbv <file>] [--no-superblocks] "
+     "[--token <t>] [--port-file <f>] [--bbv <file>] "
      "[--trace <f.json>] [--stats <f.ndjson>] [--stats-every <ms>]",
      "continue a checkpointed campaign bit-identically to an\n"
      "uninterrupted run (workers: default = checkpoint's count,\n"
-     "0 = all cores; --procs/--listen/--bbv/--no-superblocks/--trace/\n"
-     "--stats are per-run, never stored)"},
+     "0 = all cores; --procs/--listen/--bbv/--trace/--stats are\n"
+     "per-run, never stored)"},
     {"corpus", "export <dir> <out.txt>", "store -> text corpus"},
     {"corpus", "import <dir> <in.txt>", "text corpus -> store"},
     {"corpus", "minimize <dir>",
@@ -382,8 +381,7 @@ bool parse_dut_list(const char* list, std::vector<rtl::CoreConfig>* out) {
 int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
              std::size_t procs, const char* checkpoint_dir,
              std::size_t checkpoint_every, const char* bbv_path,
-             bool superblocks, const char* dut_list, const NetArgs& net,
-             const ObsArgs& obs) {
+             const char* dut_list, const NetArgs& net, const ObsArgs& obs) {
   core::CampaignConfig cfg;
   cfg.num_tests = tests;
   cfg.checkpoint_every = std::max<std::size_t>(tests / 10, 10);
@@ -391,7 +389,6 @@ int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
   cfg.dist.num_procs = procs;
   net.apply(&cfg.dist);
   obs.apply(&cfg);
-  cfg.superblocks = superblocks;
   install_drain_handler();
   if (dut_list != nullptr && !parse_dut_list(dut_list, &cfg.duts)) return 2;
   if (bbv_path != nullptr) cfg.bbv_path = bbv_path;
@@ -430,8 +427,8 @@ int cmd_fuzz(const char* which, std::size_t tests, std::size_t workers,
 }
 
 int cmd_resume(const char* dir, std::optional<std::size_t> workers,
-               std::size_t procs, const char* bbv_path, bool superblocks,
-               const NetArgs& net, const ObsArgs& obs) {
+               std::size_t procs, const char* bbv_path, const NetArgs& net,
+               const ObsArgs& obs) {
   install_drain_handler();
   // One read of what may be a large checkpoint: the loaded image hands the
   // stored fuzzer kind to make_generator() and then resumes directly.
@@ -461,7 +458,6 @@ int cmd_resume(const char* dir, std::optional<std::size_t> workers,
   opts.dist.num_procs = procs;
   net.apply(&opts.dist);
   obs.apply(&opts);
-  opts.superblocks = superblocks;
   if (bbv_path != nullptr) opts.bbv_path = bbv_path;
   try {
     const core::CampaignResult r = core::resume_campaign(
@@ -792,7 +788,6 @@ int main(int argc, char** argv) {
     std::optional<std::size_t> workers;  // absent = checkpoint's value
     std::size_t procs = 1;
     const char* bbv_path = nullptr;
-    bool superblocks = true;
     NetArgs net;
     ObsArgs obs;
     bool bad = false;
@@ -805,8 +800,6 @@ int main(int argc, char** argv) {
         bbv_path = argv[++i];
       } else if (net.parse(argc, argv, &i)) {
       } else if (obs.parse(argc, argv, &i)) {
-      } else if (std::strcmp(argv[i], "--no-superblocks") == 0) {
-        superblocks = false;
       } else if (i == 4 && argv[i][0] != '-') {
         workers = parse_count(argv[i]);
         if (!workers) bad = true;
@@ -818,8 +811,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "fuzz --resume: bad arguments; see usage\n");
       return usage();
     }
-    return cmd_resume(argv[3], workers, procs, bbv_path, superblocks, net,
-                      obs);
+    return cmd_resume(argv[3], workers, procs, bbv_path, net, obs);
   }
   if (std::strcmp(cmd, "fuzz") == 0 && argc >= 4) {
     const auto tests = parse_count(argv[3]);
@@ -829,7 +821,6 @@ int main(int argc, char** argv) {
     std::size_t checkpoint_every = 0;
     const char* bbv_path = nullptr;
     const char* dut_list = nullptr;
-    bool superblocks = true;
     NetArgs net;
     ObsArgs obs;
     bool bad = false;
@@ -850,8 +841,6 @@ int main(int argc, char** argv) {
         bbv_path = argv[++i];
       } else if (net.parse(argc, argv, &i)) {
       } else if (obs.parse(argc, argv, &i)) {
-      } else if (std::strcmp(argv[i], "--no-superblocks") == 0) {
-        superblocks = false;
       } else if (i == 4 && argv[i][0] != '-') {
         workers = parse_count(argv[i]);
       } else {
@@ -863,8 +852,7 @@ int main(int argc, char** argv) {
       return usage();
     }
     return cmd_fuzz(argv[2], *tests, *workers, procs, checkpoint_dir,
-                    checkpoint_every, bbv_path, superblocks, dut_list, net,
-                    obs);
+                    checkpoint_every, bbv_path, dut_list, net, obs);
   }
   if (std::strcmp(cmd, "corpus") == 0 && argc >= 4) {
     if (std::strcmp(argv[2], "export") == 0 && argc >= 5) {
