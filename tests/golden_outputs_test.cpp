@@ -6,9 +6,13 @@
 // its own past, so a refactor of the simulators or the engine that changes
 // any output fails here even when it changes every topology alike.
 //
-// No ML generator runs, so the digests do not depend on the float kernels'
-// instruction set. If a change is *meant* to alter campaign output, update
-// the constants from the failure messages and say why in the change log.
+// The simulation-only digests do not depend on the float kernels'
+// instruction set. The ML cases — a GPT forward/backward at the PPO update's
+// shape and a tiny trained ChatFuzz campaign — pin every bit the ML kernels
+// produce, which depends on the -march they were built with; they run only
+// in the default x86-64-v3 kernel build and skip otherwise. If a change is
+// *meant* to alter output, update the constants from the failure messages
+// and say why in the change log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,8 +27,11 @@
 
 #include "baselines/mutational.h"
 #include "core/campaign.h"
+#include "core/chatfuzz.h"
 #include "core/checkpoint.h"
 #include "corpus/generator.h"
+#include "ml/gpt.h"
+#include "util/rng.h"
 
 namespace chatfuzz::core {
 namespace {
@@ -117,6 +124,18 @@ std::uint64_t blob_digest(const std::string& blob) {
   d.u64(blob.size());
   d.bytes(blob.data(), blob.size());
   return d.value();
+}
+
+std::uint64_t floats_digest(const float* p, std::size_t n) {
+  Fnv d;
+  d.u64(n);
+  d.bytes(p, n * sizeof(float));
+  return d.value();
+}
+
+/// The ML digests hold for kernels built with the default -march only.
+bool ml_bits_pinned() {
+  return std::string(CHATFUZZ_KERNEL_MARCH) == "x86-64-v3";
 }
 
 /// The frozen outputs of one campaign.
@@ -240,6 +259,82 @@ TEST(GoldenOutputs, InjectedPrivBugs) {
                 {0xac9261df8a00eb0dull, 0xa5b15b1ac9ce059dull,
                  0x768728c7aba390c7ull, 0xe87b5cad492488a5ull,
                  0xd33eeb521514f434ull, 0x0000000000000000ull});
+}
+
+// One forward and one policy-gradient backward of the campaign model at the
+// shape of a stage-3 PPO update (batch 32, 93 tokens).
+TEST(GoldenOutputs, GptSmallForwardBackward) {
+  if (!ml_bits_pinned()) {
+    GTEST_SKIP() << "ML digests are pinned for -march=x86-64-v3 kernels; "
+                    "this build's is \"" CHATFUZZ_KERNEL_MARCH "\"";
+  }
+  const ml::GptConfig mc = ml::GptConfig::small();
+  ml::Gpt model(mc, 2024);
+  const int B = 32, T = 93, V = mc.vocab;
+  const std::size_t BT = static_cast<std::size_t>(B) * T;
+  Rng rng(17);
+  std::vector<int> tokens(BT), targets(BT);
+  for (std::size_t n = 0; n < BT; ++n) {
+    tokens[n] = static_cast<int>(rng.below(V));
+    targets[n] = static_cast<int>(rng.below(V));
+  }
+  model.forward(tokens.data(), B, T);
+  const std::uint64_t probs = floats_digest(model.probs(), BT * V);
+  const std::uint64_t values = floats_digest(model.values(), BT);
+
+  // Cross-entropy gradient plus a value-regression gradient.
+  std::vector<float> dlogits(BT * V), dvalues(BT);
+  const float inv = 1.f / static_cast<float>(BT);
+  for (std::size_t n = 0; n < BT; ++n) {
+    for (int v = 0; v < V; ++v) {
+      dlogits[n * V + v] = model.probs()[n * V + v] * inv;
+    }
+    dlogits[n * V + targets[n]] -= inv;
+    dvalues[n] = (model.values()[n] - 0.25f) * inv;
+  }
+  model.zero_grad();
+  model.backward_from(tokens.data(), dlogits.data(), dvalues.data(), B, T);
+  const std::uint64_t grads =
+      floats_digest(model.grads().data(), model.grads().size());
+
+  char line[128];
+  std::snprintf(line, sizeof line,
+                "{0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
+                "ull}",
+                probs, values, grads);
+  SCOPED_TRACE(std::string("gpt digests now: ") + line);
+  EXPECT_EQ(probs, 0x5111184c96d3aa82ull);
+  EXPECT_EQ(values, 0xefbcab58a4572a89ull);
+  EXPECT_EQ(grads, 0xc5ecb657b00bd0deull);
+}
+
+// Stage-1/2 training of a two-layer model, then a three-batch stage-3
+// campaign: generation, PPO updates and the checkpointed policy/optimizer.
+TEST(GoldenOutputs, TinyChatFuzzCampaign) {
+  if (!ml_bits_pinned()) {
+    GTEST_SKIP() << "ML digests are pinned for -march=x86-64-v3 kernels; "
+                    "this build's is \"" CHATFUZZ_KERNEL_MARCH "\"";
+  }
+  ChatFuzzConfig cc;
+  cc.model = ml::GptConfig{259, 96, 2, 2, 32};
+  cc.gen_tokens = 32;
+  cc.sample.min_new_tokens = 8;
+  cc.pretrain_samples = 48;
+  cc.pretrain.epochs = 1;
+  cc.pretrain.batch = 8;
+  cc.pretrain.seq_len = 64;
+  cc.cleanup_iters = 1;
+  cc.seed = 3;
+  ChatFuzzGenerator gen(cc);
+  gen.train_offline();
+  CampaignConfig cfg;
+  cfg.num_tests = 48;
+  cfg.batch_size = 16;
+  cfg.platform.max_steps = 256;
+  expect_golden("chatfuzz", gen, cfg, /*bbv=*/false,
+                {0xa7313762c0dc24d2ull, 0xd781837f84a902bcull,
+                 0x6084a936d6c5aa4dull, 0x59b53272af3edbccull,
+                 0x1f6fd01144f86ce7ull, 0x0000000000000000ull});
 }
 
 }  // namespace
