@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ml/kernels.h"
 #include "obs/trace.h"
@@ -57,28 +58,6 @@ struct Gpt::Layout {
 };
 
 namespace {
-
-// ---- matmul/GELU dispatch --------------------------------------------------
-// The heavy kernels live in ml/kernels.{h,cpp}; `ref` selects the seed's
-// naive loops (benchmark baseline, parity tests) over the vectorized path.
-
-void mm_fwd(bool ref, float* out, const float* inp, const float* w,
-            const float* bias, int N, int Cin, int Cout) {
-  if (ref) {
-    kern::matmul_forward_ref(out, inp, w, bias, N, Cin, Cout);
-  } else {
-    kern::matmul_forward(out, inp, w, bias, N, Cin, Cout);
-  }
-}
-
-void mm_bwd(bool ref, float* dinp, float* dw, float* dbias, const float* dout,
-            const float* inp, const float* w, int N, int Cin, int Cout) {
-  if (ref) {
-    kern::matmul_backward_ref(dinp, dw, dbias, dout, inp, w, N, Cin, Cout);
-  } else {
-    kern::matmul_backward(dinp, dw, dbias, dout, inp, w, N, Cin, Cout);
-  }
-}
 
 // ---- layer kernels (llm.c style, naive CPU loops) -------------------------
 
@@ -157,22 +136,79 @@ void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
   }
 }
 
+// ---- attention, vectorized across key positions -----------------------------
+// Every dot over the head channels i keeps its sequential order over
+// ascending i; what runs in vector lanes is the key position t2. For that,
+// each (b, h) pair works on transposed copies of its head's K, V and their
+// gradients: one row of `stride` floats per channel i, padded with zeros to
+// a multiple of 8 positions so a sweep can round its length up.
+
+constexpr int kLanes = 8;
+
+int round_up_lanes(int n) { return (n + kLanes - 1) / kLanes * kLanes; }
+
+/// dst[i * stride + t] = qkv[b, t, part, h, i] for t < T (part 0/1/2 = q/k/v).
+void gather_head(float* dst, std::size_t stride, const float* qkv, int b,
+                 int h, int part, int T, int C, int hs) {
+  for (int t = 0; t < T; ++t) {
+    const float* src = qkv + (static_cast<std::size_t>(b) * T + t) * 3 * C +
+                       part * C + h * hs;
+    for (int i = 0; i < hs; ++i) dst[i * stride + t] = src[i];
+  }
+}
+
+/// The inverse of gather_head.
+void scatter_head(float* qkv, const float* src, std::size_t stride, int b,
+                  int h, int part, int T, int C, int hs) {
+  for (int t = 0; t < T; ++t) {
+    float* dst = qkv + (static_cast<std::size_t>(b) * T + t) * 3 * C +
+                 part * C + h * hs;
+    for (int i = 0; i < hs; ++i) dst[i] = src[i * stride + t];
+  }
+}
+
+/// dots[t2] = sum_i q[i] * kt[i * stride + t2] for t2 < n, ascending i.
+void dots_across_keys(float* __restrict dots, const float* q,
+                      const float* __restrict kt, std::size_t stride, int n,
+                      int hs) {
+  for (int t2 = 0; t2 < n; ++t2) dots[t2] = 0.f;
+  for (int i = 0; i < hs; ++i) {
+    const float qi = q[i];
+    const float* __restrict kr = kt + i * stride;
+    for (int t2 = 0; t2 < n; ++t2) dots[t2] += qi * kr[t2];
+  }
+}
+
+/// dt[i * stride + t2] += w[t2] * x[i] for t2 < n: one rank-1 update of a
+/// transposed head gradient, each element in its own ascending chain.
+void rank1_across_keys(float* __restrict dt, std::size_t stride,
+                       const float* __restrict w, const float* x, int n,
+                       int hs) {
+  for (int i = 0; i < hs; ++i) {
+    const float xi = x[i];
+    float* __restrict row = dt + i * stride;
+    for (int t2 = 0; t2 < n; ++t2) row[t2] += w[t2] * xi;
+  }
+}
+
 void attention_forward(float* out, float* preatt, float* att, const float* qkv,
                        int B, int T, int C, int NH) {
   const int hs = C / NH;
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
+  const std::size_t Tp = round_up_lanes(T);
+  std::vector<float> kt(hs * Tp, 0.f), dots(Tp);
   for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      for (int h = 0; h < NH; ++h) {
+    for (int h = 0; h < NH; ++h) {
+      gather_head(kt.data(), Tp, qkv, b, h, 1, T, C, hs);
+      for (int t = 0; t < T; ++t) {
         const float* q = qkv + (b * T + t) * 3 * C + h * hs;
         float* pre = preatt + ((b * NH + h) * T + t) * T;
         float* a = att + ((b * NH + h) * T + t) * T;
+        dots_across_keys(dots.data(), q, kt.data(), Tp, round_up_lanes(t + 1),
+                         hs);
         float maxv = -1e30f;
         for (int t2 = 0; t2 <= t; ++t2) {
-          const float* k = qkv + (b * T + t2) * 3 * C + C + h * hs;
-          float dot = 0.f;
-          for (int i = 0; i < hs; ++i) dot += q[i] * k[i];
-          dot *= scale;
+          const float dot = dots[t2] * scale;
           pre[t2] = dot;
           if (dot > maxv) maxv = dot;
         }
@@ -205,46 +241,53 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
                         int B, int T, int C, int NH) {
   const int hs = C / NH;
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
+  const std::size_t Tp = round_up_lanes(T);
+  std::vector<float> vt(hs * Tp, 0.f), dvt(hs * Tp), dkt(hs * Tp);
+  std::vector<float> acc(Tp), na(Tp, 0.f), g(Tp);
   for (int b = 0; b < B; ++b) {
-    for (int t = 0; t < T; ++t) {
-      for (int h = 0; h < NH; ++h) {
+    for (int h = 0; h < NH; ++h) {
+      gather_head(vt.data(), Tp, qkv, b, h, 2, T, C, hs);
+      gather_head(dvt.data(), Tp, dqkv, b, h, 2, T, C, hs);
+      gather_head(dkt.data(), Tp, dqkv, b, h, 1, T, C, hs);
+      for (int t = 0; t < T; ++t) {
         const float* a = att + ((b * NH + h) * T + t) * T;
         float* da = datt + ((b * NH + h) * T + t) * T;
         float* dpre = dpreatt + ((b * NH + h) * T + t) * T;
         const float* d = dout + (b * T + t) * C + h * hs;
+        const int n = t + 1, n8 = round_up_lanes(n);
         // through weighted sum of V
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* v = qkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          float* dv = dqkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          float acc = 0.f;
-          for (int i = 0; i < hs; ++i) {
-            acc += v[i] * d[i];
-            dv[i] += a[t2] * d[i];
-          }
-          da[t2] += acc;
+        dots_across_keys(acc.data(), d, vt.data(), Tp, n8, hs);
+        for (int t2 = 0; t2 < n; ++t2) da[t2] += acc[t2];
+        rank1_across_keys(dvt.data(), Tp, a, d, n, hs);
+        // through softmax: dpre[t2] += sum_t3 a[t3] * (ind - a[t2]) * da[t3],
+        // one accumulator per t2 over ascending t3. na holds ind - a[t2] for
+        // ind = 0 and is patched to 1 - a[t3] at t2 == t3 for that sweep.
+        float* __restrict ac = acc.data();
+        float* __restrict nv = na.data();
+        for (int t2 = 0; t2 < n; ++t2) {
+          ac[t2] = 0.f;
+          nv[t2] = 0.f - a[t2];
         }
-        // through softmax
-        for (int t2 = 0; t2 <= t; ++t2) {
-          float acc = 0.f;
-          for (int t3 = 0; t3 <= t; ++t3) {
-            const float indicator = t2 == t3 ? 1.f : 0.f;
-            acc += a[t3] * (indicator - a[t2]) * da[t3];
-          }
-          dpre[t2] += acc;
+        for (int t3 = 0; t3 < n; ++t3) {
+          const float c = a[t3], gd = da[t3];
+          nv[t3] = 1.f - a[t3];
+          for (int t2 = 0; t2 < n8; ++t2) ac[t2] += c * nv[t2] * gd;
+          nv[t3] = 0.f - a[t3];
         }
+        for (int t2 = 0; t2 < n; ++t2) dpre[t2] += ac[t2];
         // through q.k
         const float* q = qkv + (b * T + t) * 3 * C + h * hs;
         float* dq = dqkv + (b * T + t) * 3 * C + h * hs;
-        for (int t2 = 0; t2 <= t; ++t2) {
+        for (int t2 = 0; t2 < n; ++t2) g[t2] = dpre[t2] * scale;
+        for (int t2 = 0; t2 < n; ++t2) {
           const float* k = qkv + (b * T + t2) * 3 * C + C + h * hs;
-          float* dk = dqkv + (b * T + t2) * 3 * C + C + h * hs;
-          const float g = dpre[t2] * scale;
-          for (int i = 0; i < hs; ++i) {
-            dq[i] += g * k[i];
-            dk[i] += g * q[i];
-          }
+          const float gk = g[t2];
+          for (int i = 0; i < hs; ++i) dq[i] += gk * k[i];
         }
+        rank1_across_keys(dkt.data(), Tp, g.data(), q, n, hs);
       }
+      scatter_head(dqkv, dvt.data(), Tp, b, h, 2, T, C, hs);
+      scatter_head(dqkv, dkt.data(), Tp, b, h, 1, T, C, hs);
     }
   }
 }
@@ -408,8 +451,6 @@ void Gpt::forward(const int* tokens, int B, int T) {
   float* acts = acts_.data();
   const float* prm = params_.data();
 
-  const bool ref = use_ref_kernels_;
-
   encoder_forward(acts + a.encoded, tokens, prm + p.wte, prm + p.wpe, B, T, C);
   const float* residual = acts + a.encoded;
   for (int l = 0; l < cfg_.n_layer; ++l) {
@@ -418,30 +459,24 @@ void Gpt::forward(const int* tokens, int B, int T) {
     layernorm_forward(acts + ab + a.ln1, acts + ab + a.ln1_mean,
                       acts + ab + a.ln1_rstd, residual, prm + pb + p.ln1w,
                       prm + pb + p.ln1b, BT, C);
-    mm_fwd(ref, acts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           prm + pb + p.qkvb, BT, C, 3 * C);
+    kern::matmul_forward(acts + ab + a.qkv, acts + ab + a.ln1,
+                         prm + pb + p.qkvw, prm + pb + p.qkvb, BT, C, 3 * C);
     attention_forward(acts + ab + a.atty, acts + ab + a.preatt,
                       acts + ab + a.att, acts + ab + a.qkv, B, T, C, NH);
-    mm_fwd(ref, acts + ab + a.attproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, prm + pb + p.attprojb, BT, C, C);
+    kern::matmul_forward(acts + ab + a.attproj, acts + ab + a.atty,
+                         prm + pb + p.attprojw, prm + pb + p.attprojb, BT, C,
+                         C);
     residual_forward(acts + ab + a.res2, residual, acts + ab + a.attproj,
                      BT * C);
     layernorm_forward(acts + ab + a.ln2, acts + ab + a.ln2_mean,
                       acts + ab + a.ln2_rstd, acts + ab + a.res2,
                       prm + pb + p.ln2w, prm + pb + p.ln2b, BT, C);
-    if (ref) {
-      kern::matmul_forward_ref(acts + ab + a.fch, acts + ab + a.ln2,
-                               prm + pb + p.fcw, prm + pb + p.fcb, BT, C,
-                               4 * C);
-      kern::gelu_forward_ref(acts + ab + a.fch_gelu, acts + ab + a.fch,
-                             BT * 4 * C);
-    } else {
-      kern::matmul_bias_gelu_forward(acts + ab + a.fch, acts + ab + a.fch_gelu,
-                                     acts + ab + a.ln2, prm + pb + p.fcw,
-                                     prm + pb + p.fcb, BT, C, 4 * C);
-    }
-    mm_fwd(ref, acts + ab + a.fcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, prm + pb + p.fcprojb, BT, 4 * C, C);
+    kern::matmul_bias_gelu_forward(acts + ab + a.fch, acts + ab + a.fch_gelu,
+                                   acts + ab + a.ln2, prm + pb + p.fcw,
+                                   prm + pb + p.fcb, BT, C, 4 * C);
+    kern::matmul_forward(acts + ab + a.fcproj, acts + ab + a.fch_gelu,
+                         prm + pb + p.fcprojw, prm + pb + p.fcprojb, BT, 4 * C,
+                         C);
     residual_forward(acts + ab + a.res3, acts + ab + a.res2,
                      acts + ab + a.fcproj, BT * C);
     residual = acts + ab + a.res3;
@@ -449,11 +484,12 @@ void Gpt::forward(const int* tokens, int B, int T) {
   layernorm_forward(acts + a.lnf, acts + a.lnf_mean, acts + a.lnf_rstd,
                     residual, prm + p.lnfw, prm + p.lnfb, BT, C);
   // tied LM head: logits = lnf @ wte^T
-  mm_fwd(ref, acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, BT, C, V);
+  kern::matmul_forward(acts + a.logits, acts + a.lnf, prm + p.wte, nullptr, BT,
+                       C, V);
   softmax_forward(acts + a.probs, acts + a.logits, BT, V);
   // value head
-  mm_fwd(ref, acts + a.values, acts + a.lnf, prm + p.valw, prm + p.valb,
-         BT, C, 1);
+  kern::matmul_forward(acts + a.values, acts + a.lnf, prm + p.valw,
+                       prm + p.valb, BT, C, 1);
 }
 
 float Gpt::logprob(int b, int t, int tok) const {
@@ -490,10 +526,9 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
       }
     }
   }
-  const bool ref = use_ref_kernels_;
   // LM head backward (tied weights): dlnf += dlogits @ wte; dwte += ...
-  mm_bwd(ref, dacts + a.lnf, grd + p.wte, nullptr, dlogits, acts + a.lnf,
-         prm + p.wte, BT, C, V);
+  kern::matmul_backward(dacts + a.lnf, grd + p.wte, nullptr, dlogits,
+                        acts + a.lnf, prm + p.wte, BT, C, V);
 
   // final layernorm
   const std::size_t last_ab = a.layer_base + (cfg_.n_layer - 1) * a.per_layer;
@@ -521,14 +556,14 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
       dres2[n] += dres3[n];
       dfcproj[n] += dres3[n];
     }
-    mm_bwd(ref, dacts + ab + a.fch_gelu, grd + pb + p.fcprojw,
-           grd + pb + p.fcprojb, dfcproj, acts + ab + a.fch_gelu,
-           prm + pb + p.fcprojw, BT, 4 * C, C);
+    kern::matmul_backward(dacts + ab + a.fch_gelu, grd + pb + p.fcprojw,
+                          grd + pb + p.fcprojb, dfcproj, acts + ab + a.fch_gelu,
+                          prm + pb + p.fcprojw, BT, 4 * C, C);
     kern::gelu_backward(dacts + ab + a.fch, acts + ab + a.fch,
                         dacts + ab + a.fch_gelu, BT * 4 * C);
-    mm_bwd(ref, dacts + ab + a.ln2, grd + pb + p.fcw, grd + pb + p.fcb,
-           dacts + ab + a.fch, acts + ab + a.ln2, prm + pb + p.fcw,
-           BT, C, 4 * C);
+    kern::matmul_backward(dacts + ab + a.ln2, grd + pb + p.fcw,
+                          grd + pb + p.fcb, dacts + ab + a.fch,
+                          acts + ab + a.ln2, prm + pb + p.fcw, BT, C, 4 * C);
     layernorm_backward(dres2, grd + pb + p.ln2w, grd + pb + p.ln2b,
                        dacts + ab + a.ln2, acts + ab + a.res2,
                        acts + ab + a.ln2_mean, acts + ab + a.ln2_rstd,
@@ -539,15 +574,15 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
       dres_in[n] += dres2[n];
       dattproj[n] += dres2[n];
     }
-    mm_bwd(ref, dacts + ab + a.atty, grd + pb + p.attprojw,
-           grd + pb + p.attprojb, dattproj, acts + ab + a.atty,
-           prm + pb + p.attprojw, BT, C, C);
+    kern::matmul_backward(dacts + ab + a.atty, grd + pb + p.attprojw,
+                          grd + pb + p.attprojb, dattproj, acts + ab + a.atty,
+                          prm + pb + p.attprojw, BT, C, C);
     attention_backward(dacts + ab + a.qkv, dacts + ab + a.preatt,
                        dacts + ab + a.att, dacts + ab + a.atty,
                        acts + ab + a.qkv, acts + ab + a.att, B, T, C, NH);
-    mm_bwd(ref, dacts + ab + a.ln1, grd + pb + p.qkvw, grd + pb + p.qkvb,
-           dacts + ab + a.qkv, acts + ab + a.ln1, prm + pb + p.qkvw,
-           BT, C, 3 * C);
+    kern::matmul_backward(dacts + ab + a.ln1, grd + pb + p.qkvw,
+                          grd + pb + p.qkvb, dacts + ab + a.qkv,
+                          acts + ab + a.ln1, prm + pb + p.qkvw, BT, C, 3 * C);
     layernorm_backward(dres_in, grd + pb + p.ln1w, grd + pb + p.ln1b,
                        dacts + ab + a.ln1, res_in, acts + ab + a.ln1_mean,
                        acts + ab + a.ln1_rstd, prm + pb + p.ln1w, BT, C);
@@ -602,24 +637,21 @@ Gpt::GenState Gpt::gen_begin(int B) const {
   // would silently overrun).
   s.att.assign(static_cast<std::size_t>(cfg_.ctx), 0.f);
   s.norm.assign(static_cast<std::size_t>(2) * B, 0.f);
-  if (!use_ref_kernels_) {
-    // Packed (transposed) weight views: one pack per generation, then every
-    // per-token matvec streams weights linearly (see kern::PackedMat). Pack
-    // cost is one pass over the parameters — amortized across ctx tokens.
-    const Layout p = Layout::make(cfg_);
-    const float* prm = params_.data();
-    const int Ci = cfg_.n_embd;
-    s.wpack.resize(static_cast<std::size_t>(cfg_.n_layer) * 4 + 1);
-    for (int l = 0; l < cfg_.n_layer; ++l) {
-      const std::size_t pb = p.layer_base + l * p.per_layer;
-      kern::pack_transpose(s.wpack[l * 4 + 0], prm + pb + p.qkvw, 3 * Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 1], prm + pb + p.attprojw, Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 2], prm + pb + p.fcw, 4 * Ci, Ci);
-      kern::pack_transpose(s.wpack[l * 4 + 3], prm + pb + p.fcprojw, Ci,
-                           4 * Ci);
-    }
-    kern::pack_transpose(s.wpack.back(), prm + p.wte, cfg_.vocab, Ci);
+  // Packed (transposed) weight views: one pack per generation, then every
+  // per-token matvec streams weights linearly (see kern::PackedMat). Pack
+  // cost is one pass over the parameters — amortized across ctx tokens.
+  const Layout p = Layout::make(cfg_);
+  const float* prm = params_.data();
+  const int Ci = cfg_.n_embd;
+  s.wpack.resize(static_cast<std::size_t>(cfg_.n_layer) * 4 + 1);
+  for (int l = 0; l < cfg_.n_layer; ++l) {
+    const std::size_t pb = p.layer_base + l * p.per_layer;
+    kern::pack_transpose(s.wpack[l * 4 + 0], prm + pb + p.qkvw, 3 * Ci, Ci);
+    kern::pack_transpose(s.wpack[l * 4 + 1], prm + pb + p.attprojw, Ci, Ci);
+    kern::pack_transpose(s.wpack[l * 4 + 2], prm + pb + p.fcw, 4 * Ci, Ci);
+    kern::pack_transpose(s.wpack[l * 4 + 3], prm + pb + p.fcprojw, Ci, 4 * Ci);
   }
+  kern::pack_transpose(s.wpack.back(), prm + p.wte, cfg_.vocab, Ci);
   return s;
 }
 
@@ -630,12 +662,10 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
   const int hs = C / NH;
   const int B = s.B;
   const int pos = s.t;
+  const std::size_t ctx = cfg_.ctx;
   assert(pos < cfg_.ctx);
   const float* prm = params_.data();
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
-  // Packed weights are built by gen_begin; toggling the kernel path between
-  // gen_begin and gen_step is not supported.
-  const bool ref = s.wpack.empty();
 
   float* x = s.scratch.data();               // [B, C]
   float* ln = x + static_cast<std::size_t>(B) * C;       // [B, C]
@@ -663,36 +693,29 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
     const std::size_t pb = p.layer_base + l * p.per_layer;
     layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln1w,
                       prm + pb + p.ln1b, B, C);
-    if (ref) {
-      kern::matmul_forward_ref(qkv, ln, prm + pb + p.qkvw, prm + pb + p.qkvb,
-                               B, C, 3 * C);
-    } else {
-      kern::matmul_forward_packed(qkv, ln, s.wpack[l * 4 + 0],
-                                  prm + pb + p.qkvb, B);
-    }
-    // append k/v to cache
+    kern::matmul_forward_packed(qkv, ln, s.wpack[l * 4 + 0], prm + pb + p.qkvb,
+                                B);
+    // Append k/v to the caches: K transposed ([C, ctx] per lane, so the
+    // q.k dots run across cached positions), V row-major ([ctx, C]).
     for (int b = 0; b < B; ++b) {
-      float* kc = s.kcache.data() +
-                  ((static_cast<std::size_t>(l) * B + b) * cfg_.ctx + pos) * C;
-      float* vc = s.vcache.data() +
-                  ((static_cast<std::size_t>(l) * B + b) * cfg_.ctx + pos) * C;
-      std::memcpy(kc, qkv + b * 3 * C + C, sizeof(float) * C);
+      const std::size_t lane = (static_cast<std::size_t>(l) * B + b) * ctx * C;
+      float* kc = s.kcache.data() + lane;
+      float* vc = s.vcache.data() + lane + pos * static_cast<std::size_t>(C);
+      const float* k = qkv + b * 3 * C + C;
+      for (int c = 0; c < C; ++c) kc[c * ctx + pos] = k[c];
       std::memcpy(vc, qkv + b * 3 * C + 2 * C, sizeof(float) * C);
     }
     // attention over cache
     for (int b = 0; b < B; ++b) {
-      const float* kbase =
-          s.kcache.data() + (static_cast<std::size_t>(l) * B + b) * cfg_.ctx * C;
-      const float* vbase =
-          s.vcache.data() + (static_cast<std::size_t>(l) * B + b) * cfg_.ctx * C;
+      const std::size_t lane = (static_cast<std::size_t>(l) * B + b) * ctx * C;
+      const float* kbase = s.kcache.data() + lane;
+      const float* vbase = s.vcache.data() + lane;
       for (int h = 0; h < NH; ++h) {
         const float* q = qkv + b * 3 * C + h * hs;
+        dots_across_keys(att, q, kbase + h * hs * ctx, ctx, pos + 1, hs);
         float maxv = -1e30f;
         for (int t2 = 0; t2 <= pos; ++t2) {
-          const float* k = kbase + static_cast<std::size_t>(t2) * C + h * hs;
-          float dot = 0.f;
-          for (int i = 0; i < hs; ++i) dot += q[i] * k[i];
-          dot *= scale;
+          const float dot = att[t2] * scale;
           att[t2] = dot;
           maxv = dot > maxv ? dot : maxv;
         }
@@ -711,36 +734,19 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
         }
       }
     }
-    if (ref) {
-      kern::matmul_forward_ref(proj, atty, prm + pb + p.attprojw,
-                               prm + pb + p.attprojb, B, C, C);
-    } else {
-      kern::matmul_forward_packed(proj, atty, s.wpack[l * 4 + 1],
-                                  prm + pb + p.attprojb, B);
-    }
+    kern::matmul_forward_packed(proj, atty, s.wpack[l * 4 + 1],
+                                prm + pb + p.attprojb, B);
     for (int n = 0; n < B * C; ++n) x[n] += proj[n];
     layernorm_forward(ln, mean, rstd, x, prm + pb + p.ln2w,
                       prm + pb + p.ln2b, B, C);
-    if (ref) {
-      kern::matmul_forward_ref(fch, ln, prm + pb + p.fcw, prm + pb + p.fcb,
-                               B, C, 4 * C);
-      kern::gelu_forward_ref(fgel, fch, B * 4 * C);
-      kern::matmul_forward_ref(proj, fgel, prm + pb + p.fcprojw,
-                               prm + pb + p.fcprojb, B, 4 * C, C);
-    } else {
-      kern::matmul_bias_gelu_forward_packed(fch, fgel, ln, s.wpack[l * 4 + 2],
-                                            prm + pb + p.fcb, B);
-      kern::matmul_forward_packed(proj, fgel, s.wpack[l * 4 + 3],
-                                  prm + pb + p.fcprojb, B);
-    }
+    kern::matmul_bias_gelu_forward_packed(fch, fgel, ln, s.wpack[l * 4 + 2],
+                                          prm + pb + p.fcb, B);
+    kern::matmul_forward_packed(proj, fgel, s.wpack[l * 4 + 3],
+                                prm + pb + p.fcprojb, B);
     for (int n = 0; n < B * C; ++n) x[n] += proj[n];
   }
   layernorm_forward(ln, mean, rstd, x, prm + p.lnfw, prm + p.lnfb, B, C);
-  if (ref) {
-    kern::matmul_forward_ref(logits_out, ln, prm + p.wte, nullptr, B, C, V);
-  } else {
-    kern::matmul_forward_packed(logits_out, ln, s.wpack.back(), nullptr, B);
-  }
+  kern::matmul_forward_packed(logits_out, ln, s.wpack.back(), nullptr, B);
   ++s.t;
 }
 

@@ -85,7 +85,8 @@ class Gpt {
   struct GenState {
     int B = 0;
     int t = 0;  // positions already consumed
-    std::vector<float> kcache, vcache;  // [L, B, ctx, C]
+    std::vector<float> kcache;  // [L, B, C, ctx]: K transposed per lane
+    std::vector<float> vcache;  // [L, B, ctx, C]
     std::vector<float> scratch;
     std::vector<float> att;          // [ctx] attention-score scratch
     std::vector<float> norm;         // [2, B] layernorm mean/rstd scratch
@@ -114,12 +115,6 @@ class Gpt {
   void save_state(ser::Writer& w) const;
   bool restore_state(ser::Reader& r);
 
-  /// Route all matmul/GELU work through the seed's naive reference kernels
-  /// instead of the vectorized subsystem (ml/kernels.h). Benchmark and
-  /// parity-test hook; off by default.
-  void set_use_ref_kernels(bool ref) { use_ref_kernels_ = ref; }
-  bool use_ref_kernels() const { return use_ref_kernels_; }
-
  private:
   enum ActName {
     kActEncoded, kActLnf, kActLnfMean, kActLnfRstd, kActLogits, kActProbs,
@@ -131,7 +126,6 @@ class Gpt {
   GptConfig cfg_;
   std::vector<float> params_;
   std::vector<float> grads_;
-  bool use_ref_kernels_ = false;
 
   // Activation & activation-gradient arenas for the current (B,T).
   int B_ = 0, T_ = 0;

@@ -10,6 +10,10 @@
 #include "util/parse.h"
 #include "util/pool.h"
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 namespace chatfuzz::ml::kern {
 
 // ===========================================================================
@@ -92,14 +96,153 @@ inline float gelu_fast(float x) {
   return 0.5f * x * (1.f + fast_tanh(kS * (x + cube)));
 }
 
+#if defined(__AVX2__) && defined(__FMA__)
+// ---- register-tiled FMA micro-kernels ---------------------------------------
+// Every matmul here is one shape of
+//   c(r, j) = init(r, j);  for k ascending: c(r, j) = fma(a(r, k), b(k, j), c)
+// with a(r, k) = a[r*ars + k*aks], b(k, j) = b[k*bks + j] (unit stride over
+// j) and init either a row (stride irs; 0 broadcasts one row, e.g. a bias),
+// c itself (accumulate), or zero. A tile holds R rows x 16 columns in 2R ymm
+// accumulators across the whole reduction, so each output element is one
+// fused multiply-add chain in ascending k (bit for bit a scalar std::fma
+// chain) without the output rows being reloaded and stored on every step.
+// Columns past the last full tile run the same chain with scalar std::fma.
+struct Gemm {
+  const float* a;
+  std::size_t ars, aks;
+  const float* b;
+  std::size_t bks;
+  float* c;
+  std::size_t crs;
+  const float* init;  // nullptr = start from zero
+  std::size_t irs;
+  int K;
+};
+
+constexpr int kTileRows = 6;  // 12 accumulators + 2 B vectors + 1 broadcast
+
+template <int R>
+void tile16(const Gemm& g, const float* a, const float* b, float* c,
+            const float* init) {
+  __m256 lo[R], hi[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    if (init != nullptr) {
+      lo[r] = _mm256_loadu_ps(init + r * g.irs);
+      hi[r] = _mm256_loadu_ps(init + r * g.irs + 8);
+    } else {
+      lo[r] = _mm256_setzero_ps();
+      hi[r] = _mm256_setzero_ps();
+    }
+  }
+  for (int k = 0; k < g.K; ++k) {
+    const float* bk = b + static_cast<std::size_t>(k) * g.bks;
+    const __m256 b0 = _mm256_loadu_ps(bk);
+    const __m256 b1 = _mm256_loadu_ps(bk + 8);
+    const float* ak = a + static_cast<std::size_t>(k) * g.aks;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ak + r * g.ars);
+      lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+      hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    _mm256_storeu_ps(c + r * g.crs, lo[r]);
+    _mm256_storeu_ps(c + r * g.crs + 8, hi[r]);
+  }
+}
+
+/// Columns [j0, j1) of R rows, one scalar chain per element (R interleaved).
+template <int R>
+void tile_tail(const Gemm& g, const float* a, const float* b, float* c,
+               const float* init, int j0, int j1) {
+  for (int j = j0; j < j1; ++j) {
+    float acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = init != nullptr ? init[r * g.irs + j] : 0.f;
+    for (int k = 0; k < g.K; ++k) {
+      const float bv = b[static_cast<std::size_t>(k) * g.bks + j];
+      const float* ak = a + static_cast<std::size_t>(k) * g.aks;
+      for (int r = 0; r < R; ++r) acc[r] = std::fma(ak[r * g.ars], bv, acc[r]);
+    }
+    for (int r = 0; r < R; ++r) c[r * g.crs + j] = acc[r];
+  }
+}
+
+template <int R>
+void block_rows(const Gemm& g, int r0, int ncols) {
+  const float* a = g.a + static_cast<std::size_t>(r0) * g.ars;
+  float* c = g.c + static_cast<std::size_t>(r0) * g.crs;
+  const float* init =
+      g.init != nullptr ? g.init + static_cast<std::size_t>(r0) * g.irs : nullptr;
+  int j = 0;
+  for (; j + 16 <= ncols; j += 16) {
+    tile16<R>(g, a, g.b + j, c + j, init != nullptr ? init + j : nullptr);
+  }
+  if (j < ncols) tile_tail<R>(g, a, g.b, c, init, j, ncols);
+}
+
+/// Rows [r0, r1) x columns [0, ncols) of `g`.
+void gemm_rows(const Gemm& g, int r0, int r1, int ncols) {
+  int r = r0;
+  for (; r + kTileRows <= r1; r += kTileRows) block_rows<kTileRows>(g, r, ncols);
+  switch (r1 - r) {
+    case 5: block_rows<5>(g, r, ncols); break;
+    case 4: block_rows<4>(g, r, ncols); break;
+    case 3: block_rows<3>(g, r, ncols); break;
+    case 2: block_rows<2>(g, r, ncols); break;
+    case 1: block_rows<1>(g, r, ncols); break;
+    default: break;
+  }
+}
+
+/// Forward rows [n0, n1): out = bias + inp @ wt, wt packed [Cin, Cout].
+void range_forward_packed(float* out, const float* inp, const float* wt,
+                          const float* bias, int n0, int n1, int Cin,
+                          int Cout) {
+  const Gemm g{inp, static_cast<std::size_t>(Cin), 1, wt,
+               static_cast<std::size_t>(Cout), out,
+               static_cast<std::size_t>(Cout), bias, 0, Cin};
+  gemm_rows(g, n0, n1, Cout);
+}
+
+/// dinp rows [n0, n1) += dout @ w, reduction over ascending oc.
+void range_backward_dinp(float* dinp, const float* dout, const float* w,
+                         int n0, int n1, int Cin, int Cout) {
+  const Gemm g{dout, static_cast<std::size_t>(Cout), 1, w,
+               static_cast<std::size_t>(Cin), dinp,
+               static_cast<std::size_t>(Cin), dinp,
+               static_cast<std::size_t>(Cin), Cout};
+  gemm_rows(g, n0, n1, Cin);
+}
+
+/// dw rows [o0, o1) += dout^T @ inp, reduction over ascending n. The
+/// reduction is cut into chunks of rows so the inp/dout slices stay in
+/// cache across tiles; each chunk resumes every chain from dw, which keeps
+/// the per-element order.
+void range_backward_dw(float* dw, const float* dout, const float* inp,
+                       int o0, int o1, int N, int Cin, int Cout) {
+  constexpr int kChunk = 256;
+  for (int n0 = 0; n0 < N; n0 += kChunk) {
+    const int len = N - n0 < kChunk ? N - n0 : kChunk;
+    const Gemm g{dout + static_cast<std::size_t>(n0) * Cout, 1,
+                 static_cast<std::size_t>(Cout),
+                 inp + static_cast<std::size_t>(n0) * Cin,
+                 static_cast<std::size_t>(Cin), dw,
+                 static_cast<std::size_t>(Cin), dw,
+                 static_cast<std::size_t>(Cin), len};
+    gemm_rows(g, o0, o1, Cin);
+  }
+}
+#else
+// ---- generic SAXPY loops (no AVX2/FMA) ---------------------------------------
 /// NB output rows in SAXPY order: each row starts at bias and accumulates
 /// x[n, i] * wt_row_i with ascending i. Unit stride on every stream and no
-/// loop-carried dependence in the oc loop, so it vectorizes as-is — and
-/// blocking NB rows per weight pass means the packed matrix is streamed
-/// from memory once per block instead of once per row (the matvec is
-/// bandwidth-bound; this is worth more than any further unrolling).
-/// Accumulation order per output element is ascending i for every NB, so
-/// results do not depend on the blocking.
+/// loop-carried dependence in the oc loop, so it vectorizes as-is, and
+/// blocking NB rows per weight pass streams the packed matrix once per
+/// block instead of once per row. Accumulation order per output element is
+/// ascending i for every NB, so results do not depend on the blocking.
 template <int NB>
 void rows_forward_packed(float* out, const float* inp, const float* wt,
                          const float* bias, int Cin, int Cout) {
@@ -142,6 +285,35 @@ void range_forward_packed(float* out, const float* inp, const float* wt,
                            Cin, Cout);
   }
 }
+
+/// dinp[n, :] += sum_oc dout[n, oc] * w[oc, :], SAXPY over i, ascending oc.
+void range_backward_dinp(float* dinp, const float* dout, const float* w,
+                         int n0, int n1, int Cin, int Cout) {
+  for (int n = n0; n < n1; ++n) {
+    const float* d = dout + static_cast<std::size_t>(n) * Cout;
+    float* di = dinp + static_cast<std::size_t>(n) * Cin;
+    for (int oc = 0; oc < Cout; ++oc) {
+      const float* wr = w + static_cast<std::size_t>(oc) * Cin;
+      const float g = d[oc];
+      for (int i = 0; i < Cin; ++i) di[i] += g * wr[i];
+    }
+  }
+}
+
+/// dw[oc, :] += sum_n dout[n, oc] * inp[n, :] for oc in [o0, o1), ascending n.
+void range_backward_dw(float* dw, const float* dout, const float* inp,
+                       int o0, int o1, int N, int Cin, int Cout) {
+  for (int n = 0; n < N; ++n) {
+    const float* d = dout + static_cast<std::size_t>(n) * Cout;
+    const float* x = inp + static_cast<std::size_t>(n) * Cin;
+    for (int oc = o0; oc < o1; ++oc) {
+      float* dwr = dw + static_cast<std::size_t>(oc) * Cin;
+      const float g = d[oc];
+      for (int i = 0; i < Cin; ++i) dwr[i] += g * x[i];
+    }
+  }
+}
+#endif
 
 /// Per-thread transpose scratch. Each campaign/training thread that calls
 /// matmul_forward keeps its own buffer, so concurrent models never share.
@@ -256,33 +428,19 @@ void matmul_bias_gelu_forward(float* pre, float* post, const float* inp,
 void matmul_backward(float* dinp, float* dw, float* dbias, const float* dout,
                      const float* inp, const float* w, int N, int Cin,
                      int Cout) {
-  // dinp[n, :] += sum_oc dout[n, oc] * w[oc, :] — already SAXPY over i in
-  // the reference order; rows are independent, so split by n.
+  // dinp rows are independent, so split by n.
   parallel_ranges(N, static_cast<std::size_t>(Cin) * Cout, [&](int n0, int n1) {
-    for (int n = n0; n < n1; ++n) {
-      const float* d = dout + static_cast<std::size_t>(n) * Cout;
-      float* di = dinp + static_cast<std::size_t>(n) * Cin;
-      for (int oc = 0; oc < Cout; ++oc) {
-        const float* wr = w + static_cast<std::size_t>(oc) * Cin;
-        const float g = d[oc];
-        for (int i = 0; i < Cin; ++i) di[i] += g * wr[i];
-      }
-    }
+    range_backward_dinp(dinp, dout, w, n0, n1, Cin, Cout);
   });
-  // dw[oc, :] += sum_n dout[n, oc] * inp[n, :], dbias[oc] += sum_n dout[n, oc].
-  // Each thread owns a contiguous oc range and walks n in ascending order,
-  // so every dw/dbias element sees the same accumulation order as the
-  // reference no matter how many threads run.
+  // Each thread owns a contiguous oc range of dw/dbias and walks n in
+  // ascending order, so every element sees the same accumulation order no
+  // matter how many threads run.
   parallel_ranges(Cout, static_cast<std::size_t>(Cin) * N, [&](int o0, int o1) {
+    range_backward_dw(dw, dout, inp, o0, o1, N, Cin, Cout);
+    if (dbias == nullptr) return;
     for (int n = 0; n < N; ++n) {
       const float* d = dout + static_cast<std::size_t>(n) * Cout;
-      const float* x = inp + static_cast<std::size_t>(n) * Cin;
-      for (int oc = o0; oc < o1; ++oc) {
-        float* dwr = dw + static_cast<std::size_t>(oc) * Cin;
-        const float g = d[oc];
-        if (dbias != nullptr) dbias[oc] += g;
-        for (int i = 0; i < Cin; ++i) dwr[i] += g * x[i];
-      }
+      for (int oc = o0; oc < o1; ++oc) dbias[oc] += d[oc];
     }
   });
 }

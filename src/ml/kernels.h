@@ -4,18 +4,23 @@
 //
 //   *_ref    — the seed's naive triple loops, kept verbatim as the semantic
 //              reference for parity tests and speedup benches;
-//   the rest — cache-friendly, compiler-vectorizable rewrites. The key
-//              transform is the SAXPY loop order (accumulate whole output
-//              rows with unit stride) which the compiler vectorizes without
-//              -ffast-math, because no floating-point reduction has to be
-//              reassociated.
+//   the rest — vectorized rewrites that never reassociate a floating-point
+//              reduction (no -ffast-math). With AVX2+FMA (the default
+//              x86-64-v3 build) the matmuls run register-tiled micro-kernels
+//              that keep a tile of outputs in ymm accumulators across the
+//              whole reduction; otherwise they run SAXPY loops (accumulate
+//              whole output rows with unit stride).
 //
-// Determinism contract: for a given build, every kernel accumulates each
-// output element in a fixed order (ascending reduction index) that does not
-// depend on the thread count, so results are bit-identical run to run and
-// for any set_num_threads() value. Threads only ever split work across
-// *disjoint* output ranges (rows for forward/dinp, output channels for
-// dweight/dbias), never across a reduction.
+// Determinism contract: each matmul output element is one fused
+// multiply-add chain over the reduction index in ascending order — starting
+// from the bias (or zero) in the forward kernels and from the incoming
+// accumulator in the backward ones — and dbias is a plain ascending sum. A
+// build without FMA computes the same chain with a separately rounded
+// multiply and add. The order does not depend on the thread count or the
+// tiling, so results are bit-identical run to run and for any
+// set_num_threads() value. Threads only ever split work across *disjoint*
+// output ranges (rows for forward/dinp, output channels for dweight/dbias),
+// never across a reduction.
 #pragma once
 
 #include <cmath>
@@ -67,9 +72,9 @@ void gelu_backward_ref(float* dinp, const float* inp, const float* dout,
                        int N);
 
 // ---- optimized kernels -------------------------------------------------------
-/// Row-blocked, vectorizable matmul. Same signature and math as the
-/// reference; internally transposes `w` into a per-thread scratch so the
-/// inner loop streams both operands with unit stride.
+/// Tiled matmul. Same signature and math as the reference; internally
+/// transposes `w` into a per-thread scratch so the tiles stream both
+/// operands with unit stride.
 void matmul_forward(float* out, const float* inp, const float* w,
                     const float* bias, int N, int Cin, int Cout);
 

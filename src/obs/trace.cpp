@@ -20,7 +20,8 @@ namespace {
 // Registry of every thread buffer ever created. Entries are never destroyed
 // while the process runs: a thread_local caches the raw pointer, and threads
 // from persistent pools (e.g. the ML matmul pool) can outlive any number of
-// trace sessions. trace_start() clears contents instead of freeing.
+// trace sessions. trace_start() resets each ring to the session's capacity
+// instead of freeing it.
 struct Registry {
   std::mutex mu;
   std::vector<std::unique_ptr<TraceRing>> rings;
@@ -70,7 +71,7 @@ void trace_start(std::uint32_t ring_capacity) {
   {
     std::lock_guard<std::mutex> lk(reg.mu);
     reg.capacity = ring_capacity == 0 ? 1 : ring_capacity;
-    for (auto& r : reg.rings) r->clear();
+    for (auto& r : reg.rings) r->reset(reg.capacity);
   }
   detail::g_trace_enabled.store(true, std::memory_order_release);
 }

@@ -59,8 +59,15 @@ class TraceRing {
   std::uint32_t capacity() const { return capacity_; }
   std::uint64_t tid() const { return tid_; }
 
-  // Reset for a new session (no concurrent producers).
-  void clear() {
+  // Empty the ring for a new session with room for `capacity` events,
+  // reallocating when that differs from the current capacity (no concurrent
+  // producers).
+  void reset(std::uint32_t capacity) {
+    if (capacity != capacity_) {
+      delete[] events_;
+      events_ = new TraceEvent[capacity];
+      capacity_ = capacity;
+    }
     size_.store(0, std::memory_order_release);
     dropped_.store(0, std::memory_order_relaxed);
   }
@@ -83,8 +90,8 @@ inline bool trace_enabled() {
   return detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
 
-// Start a trace session: clears all existing per-thread buffers, sets the
-// per-thread capacity for buffers created afterwards, and enables OBS_SPAN.
+// Start a trace session: empties every per-thread buffer and gives it, and
+// every buffer created afterwards, `ring_capacity` events; enables OBS_SPAN.
 // Not safe to call while spans are being recorded on other threads.
 void trace_start(std::uint32_t ring_capacity = 1 << 16);
 

@@ -319,24 +319,6 @@ TEST(Kernels, GptOutputsBitIdenticalAcrossMlThreads) {
 
 // ---- end-to-end model parity ------------------------------------------------
 
-TEST(Kernels, ForwardMatchesRefKernelsEndToEnd) {
-  const GptConfig cfg = GptConfig::tiny();
-  Gpt fast(cfg, 77);
-  Gpt ref(cfg, 77);
-  ref.set_use_ref_kernels(true);
-  Rng rng(3);
-  const int B = 2, T = 10;
-  std::vector<int> toks(B * T);
-  for (int& t : toks) t = static_cast<int>(rng.below(cfg.vocab));
-  fast.forward(toks.data(), B, T);
-  ref.forward(toks.data(), B, T);
-  const float* lf = fast.logits();
-  const float* lr = ref.logits();
-  for (int i = 0; i < B * T * cfg.vocab; ++i) {
-    ASSERT_NEAR(lf[i], lr[i], 1e-3f) << i;
-  }
-}
-
 TEST(Kernels, GenStepMatchesForwardAtEveryPosition) {
   const GptConfig cfg = GptConfig::tiny();
   Gpt model(cfg, 99);
@@ -357,32 +339,6 @@ TEST(Kernels, GenStepMatchesForwardAtEveryPosition) {
       ASSERT_NEAR(step[v], full[static_cast<std::size_t>(t) * cfg.vocab + v],
                   1e-3f)
           << "t=" << t << " v=" << v;
-    }
-  }
-}
-
-TEST(Kernels, GenStepPackedMatchesRefPath) {
-  const GptConfig cfg = GptConfig::tiny();
-  Gpt fast(cfg, 123);
-  Gpt ref(cfg, 123);
-  ref.set_use_ref_kernels(true);
-  Rng rng(7);
-  const int B = 2, T = 16;
-  Gpt::GenState sf = fast.gen_begin(B);
-  Gpt::GenState sr = ref.gen_begin(B);
-  EXPECT_FALSE(sf.wpack.empty());
-  EXPECT_TRUE(sr.wpack.empty());
-  std::vector<int> toks(B);
-  std::vector<float> lf(static_cast<std::size_t>(B) * cfg.vocab);
-  std::vector<float> lr(lf.size());
-  for (int t = 0; t < T; ++t) {
-    for (int b = 0; b < B; ++b) {
-      toks[b] = static_cast<int>(rng.below(cfg.vocab));
-    }
-    fast.gen_step(sf, toks.data(), lf.data());
-    ref.gen_step(sr, toks.data(), lr.data());
-    for (std::size_t i = 0; i < lf.size(); ++i) {
-      ASSERT_NEAR(lf[i], lr[i], 1e-3f) << "t=" << t << " i=" << i;
     }
   }
 }

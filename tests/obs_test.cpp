@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <semaphore>
 #include <set>
 #include <sstream>
 #include <string>
@@ -151,9 +152,6 @@ std::vector<std::string> lines_of(const std::string& text) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsTrace, RingOverflowDropsNewestAndCounts) {
-  // Ring capacity applies to buffers created after trace_start, so record on
-  // a fresh thread (the main thread's ring may predate this test with a
-  // larger capacity).
   obs::trace_start(/*ring_capacity=*/8);
   std::thread producer([] {
     for (int i = 0; i < 20; ++i) {
@@ -171,6 +169,38 @@ TEST(ObsTrace, RingOverflowDropsNewestAndCounts) {
   const std::string json = file_bytes(path);
   EXPECT_NE(json.find("\"droppedSpans\":\"12\""), std::string::npos) << json;
   fs::remove(path);
+}
+
+TEST(ObsTrace, RingTakesEachSessionsCapacity) {
+  // A thread's ring outlives trace sessions (pool threads keep theirs), so
+  // every trace_start must give existing rings that session's capacity: a
+  // ring created under a 64-span session holds more after a default one.
+  std::binary_semaphore go(0), done(0);
+  int spans = 0;
+  std::thread worker([&] {
+    for (int round = 0; round < 2; ++round) {
+      go.acquire();
+      for (int i = 0; i < spans; ++i) {
+        OBS_SPAN("obs_test.resized");
+      }
+      done.release();
+    }
+  });
+  obs::trace_start(64);
+  spans = 10;
+  go.release();
+  done.acquire();
+  obs::trace_stop();
+  EXPECT_EQ(obs::trace_span_count(), 10u);
+
+  obs::trace_start();
+  spans = 100;
+  go.release();
+  done.acquire();
+  obs::trace_stop();
+  worker.join();
+  EXPECT_EQ(obs::trace_span_count(), 100u);
+  EXPECT_EQ(obs::trace_dropped_count(), 0u);
 }
 
 TEST(ObsTrace, ManualClockProducesExactTimestamps) {
