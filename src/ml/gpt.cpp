@@ -138,14 +138,23 @@ void layernorm_backward(float* dinp, float* dw, float* db, const float* dout,
 
 // ---- attention, vectorized across key positions -----------------------------
 // Every dot over the head channels i keeps its sequential order over
-// ascending i; what runs in vector lanes is the key position t2. For that,
-// each (b, h) pair works on transposed copies of its head's K, V and their
-// gradients: one row of `stride` floats per channel i, padded with zeros to
-// a multiple of 8 positions so a sweep can round its length up.
+// ascending i, and every sum over key positions its order over ascending
+// t2; what runs in vector lanes is whichever index is not being reduced.
+// For the dots that is the key position: each (b, h) pair works on
+// transposed copies of its head's K, V and their gradients, one row of
+// `stride` floats per channel i, padded with zeros to a multiple of 8
+// positions so a sweep can round its length up.
 
 constexpr int kLanes = 8;
 
 int round_up_lanes(int n) { return (n + kLanes - 1) / kLanes * kLanes; }
+
+/// Eight floats with elementwise IEEE arithmetic (a GCC vector extension:
+/// one AVX register under -march=x86-64-v3, two SSE registers otherwise; a
+/// scalar operand is broadcast). gpt.cpp builds with -ffp-contract=off, so
+/// a + b * c stays two roundings. Vec8 values never cross a function
+/// boundary, which keeps generic builds free of AVX calling conventions.
+typedef float Vec8 __attribute__((vector_size(32)));
 
 /// dst[i * stride + t] = qkv[b, t, part, h, i] for t < T (part 0/1/2 = q/k/v).
 void gather_head(float* dst, std::size_t stride, const float* qkv, int b,
@@ -191,6 +200,70 @@ void rank1_across_keys(float* __restrict dt, std::size_t stride,
   }
 }
 
+/// o[i] += w[t2] * rows[t2 * stride + i] for t2 < n in ascending order, for
+/// every i < hs: lanes across the channels, accumulated in registers.
+void weighted_row_sum(float* o, const float* w, const float* rows,
+                      std::size_t stride, int n, int hs) {
+  int i = 0;
+  for (; i + 2 * kLanes <= hs; i += 2 * kLanes) {
+    Vec8 lo, hi, r0, r1;
+    std::memcpy(&lo, o + i, sizeof lo);
+    std::memcpy(&hi, o + i + kLanes, sizeof hi);
+    for (int t2 = 0; t2 < n; ++t2) {
+      const float* r = rows + t2 * stride + i;
+      std::memcpy(&r0, r, sizeof r0);
+      std::memcpy(&r1, r + kLanes, sizeof r1);
+      lo += w[t2] * r0;
+      hi += w[t2] * r1;
+    }
+    std::memcpy(o + i, &lo, sizeof lo);
+    std::memcpy(o + i + kLanes, &hi, sizeof hi);
+  }
+  for (; i < hs; ++i) {
+    float acc = o[i];
+    for (int t2 = 0; t2 < n; ++t2) acc += w[t2] * rows[t2 * stride + i];
+    o[i] = acc;
+  }
+}
+
+/// Softmax backward of one attention row:
+///   dpre[t2] += sum_t3 a[t3] * (ind(t2 == t3) - a[t2]) * da[t3]
+/// for t2, t3 < n, one chain per t2 over ascending t3. Lanes run across t2
+/// in blocks of kBlock held in registers for the whole t3 sweep; `na`
+/// (scratch of round_up(n, kBlock) floats) holds 0 - a[t2], and while t3
+/// crosses a block's own positions its lane t2 == t3 selects 1 - a[t3].
+void softmax_backward_row(float* dpre, float* na, const float* a,
+                          const float* da, int n) {
+  typedef int Lanes8 __attribute__((vector_size(32)));
+  const Lanes8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
+  constexpr int kVecs = 4, kBlock = kVecs * kLanes;
+  const int nb = (n + kBlock - 1) / kBlock * kBlock;
+  for (int t2 = 0; t2 < n; ++t2) na[t2] = 0.f - a[t2];
+  for (int t2 = n; t2 < nb; ++t2) na[t2] = 0.f;
+  for (int c0 = 0; c0 < n; c0 += kBlock) {
+    const int c1 = c0 + kBlock < n ? c0 + kBlock : n;
+    Vec8 acc[kVecs] = {}, m[kVecs];
+    std::memcpy(m, na + c0, sizeof m);
+    const auto sweep = [&](int t3, const Vec8* mul) {
+      for (int u = 0; u < kVecs; ++u) acc[u] += a[t3] * mul[u] * da[t3];
+    };
+    for (int t3 = 0; t3 < c0; ++t3) sweep(t3, m);
+    for (int t3 = c0; t3 < c1; ++t3) {
+      const float om = 1.f - a[t3];
+      const Vec8 one_minus = {om, om, om, om, om, om, om, om};
+      Vec8 diag[kVecs];
+      for (int u = 0; u < kVecs; ++u) {
+        diag[u] = lane == t3 - c0 - u * kLanes ? one_minus : m[u];
+      }
+      sweep(t3, diag);
+    }
+    for (int t3 = c1; t3 < n; ++t3) sweep(t3, m);
+    float out[kBlock];
+    std::memcpy(out, acc, sizeof out);
+    for (int t2 = c0; t2 < c1; ++t2) dpre[t2] += out[t2 - c0];
+  }
+}
+
 void attention_forward(float* out, float* preatt, float* att, const float* qkv,
                        int B, int T, int C, int NH) {
   const int hs = C / NH;
@@ -200,6 +273,8 @@ void attention_forward(float* out, float* preatt, float* att, const float* qkv,
   for (int b = 0; b < B; ++b) {
     for (int h = 0; h < NH; ++h) {
       gather_head(kt.data(), Tp, qkv, b, h, 1, T, C, hs);
+      const float* vrows = qkv + static_cast<std::size_t>(b) * T * 3 * C +
+                           2 * C + h * hs;
       for (int t = 0; t < T; ++t) {
         const float* q = qkv + (b * T + t) * 3 * C + h * hs;
         float* pre = preatt + ((b * NH + h) * T + t) * T;
@@ -226,11 +301,7 @@ void attention_forward(float* out, float* preatt, float* att, const float* qkv,
         }
         float* o = out + (b * T + t) * C + h * hs;
         for (int i = 0; i < hs; ++i) o[i] = 0.f;
-        for (int t2 = 0; t2 <= t; ++t2) {
-          const float* v = qkv + (b * T + t2) * 3 * C + 2 * C + h * hs;
-          const float w = a[t2];
-          for (int i = 0; i < hs; ++i) o[i] += w * v[i];
-        }
+        weighted_row_sum(o, a, vrows, 3 * C, t + 1, hs);
       }
     }
   }
@@ -243,47 +314,31 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   const std::size_t Tp = round_up_lanes(T);
   std::vector<float> vt(hs * Tp, 0.f), dvt(hs * Tp), dkt(hs * Tp);
-  std::vector<float> acc(Tp), na(Tp, 0.f), g(Tp);
+  std::vector<float> acc(Tp), na(Tp + 4 * kLanes), g(Tp);
   for (int b = 0; b < B; ++b) {
     for (int h = 0; h < NH; ++h) {
       gather_head(vt.data(), Tp, qkv, b, h, 2, T, C, hs);
       gather_head(dvt.data(), Tp, dqkv, b, h, 2, T, C, hs);
       gather_head(dkt.data(), Tp, dqkv, b, h, 1, T, C, hs);
+      const float* krows =
+          qkv + static_cast<std::size_t>(b) * T * 3 * C + C + h * hs;
       for (int t = 0; t < T; ++t) {
         const float* a = att + ((b * NH + h) * T + t) * T;
         float* da = datt + ((b * NH + h) * T + t) * T;
         float* dpre = dpreatt + ((b * NH + h) * T + t) * T;
         const float* d = dout + (b * T + t) * C + h * hs;
-        const int n = t + 1, n8 = round_up_lanes(n);
+        const int n = t + 1;
         // through weighted sum of V
-        dots_across_keys(acc.data(), d, vt.data(), Tp, n8, hs);
+        dots_across_keys(acc.data(), d, vt.data(), Tp, round_up_lanes(n), hs);
         for (int t2 = 0; t2 < n; ++t2) da[t2] += acc[t2];
         rank1_across_keys(dvt.data(), Tp, a, d, n, hs);
-        // through softmax: dpre[t2] += sum_t3 a[t3] * (ind - a[t2]) * da[t3],
-        // one accumulator per t2 over ascending t3. na holds ind - a[t2] for
-        // ind = 0 and is patched to 1 - a[t3] at t2 == t3 for that sweep.
-        float* __restrict ac = acc.data();
-        float* __restrict nv = na.data();
-        for (int t2 = 0; t2 < n; ++t2) {
-          ac[t2] = 0.f;
-          nv[t2] = 0.f - a[t2];
-        }
-        for (int t3 = 0; t3 < n; ++t3) {
-          const float c = a[t3], gd = da[t3];
-          nv[t3] = 1.f - a[t3];
-          for (int t2 = 0; t2 < n8; ++t2) ac[t2] += c * nv[t2] * gd;
-          nv[t3] = 0.f - a[t3];
-        }
-        for (int t2 = 0; t2 < n; ++t2) dpre[t2] += ac[t2];
+        // through softmax
+        softmax_backward_row(dpre, na.data(), a, da, n);
         // through q.k
         const float* q = qkv + (b * T + t) * 3 * C + h * hs;
         float* dq = dqkv + (b * T + t) * 3 * C + h * hs;
         for (int t2 = 0; t2 < n; ++t2) g[t2] = dpre[t2] * scale;
-        for (int t2 = 0; t2 < n; ++t2) {
-          const float* k = qkv + (b * T + t2) * 3 * C + C + h * hs;
-          const float gk = g[t2];
-          for (int i = 0; i < hs; ++i) dq[i] += gk * k[i];
-        }
+        weighted_row_sum(dq, g.data(), krows, 3 * C, n, hs);
         rank1_across_keys(dkt.data(), Tp, g.data(), q, n, hs);
       }
       scatter_head(dqkv, dvt.data(), Tp, b, h, 2, T, C, hs);
@@ -725,13 +780,10 @@ void Gpt::gen_step(GenState& s, const int* tokens_t, float* logits_out) const {
           sum += att[t2];
         }
         const float inv = 1.f / sum;
+        for (int t2 = 0; t2 <= pos; ++t2) att[t2] *= inv;
         float* o = atty + b * C + h * hs;
         for (int i = 0; i < hs; ++i) o[i] = 0.f;
-        for (int t2 = 0; t2 <= pos; ++t2) {
-          const float* v = vbase + static_cast<std::size_t>(t2) * C + h * hs;
-          const float w = att[t2] * inv;
-          for (int i = 0; i < hs; ++i) o[i] += w * v[i];
-        }
+        weighted_row_sum(o, att, vbase + h * hs, C, pos + 1, hs);
       }
     }
     kern::matmul_forward_packed(proj, atty, s.wpack[l * 4 + 1],

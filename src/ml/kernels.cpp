@@ -58,19 +58,22 @@ void parallel_ranges(int total, std::size_t work_per_item, const Body& body) {
   Pool::instance().run(parts, fn);
 }
 
-// ---- vectorizable GELU for the incremental-decode path ---------------------
-// libm tanhf is scalar and dominates gen_step once the matmuls are packed
-// (4C GELUs per layer per lane per token). This branch-free polynomial
-// tanh — exp2-style range reduction, degree-5 e^r polynomial, bit-trick
-// scale — is pure float arithmetic, so the whole activation loop
-// auto-vectorizes. |rel err| < 3e-6, far inside the generation path's
-// parity tolerance. Training keeps exact libm GELU (gelu_scalar) so
-// gradients and the *_ref parity stay bit-comparable.
+// ---- fast GELU for the incremental-decode path ------------------------------
+// libm tanhf is slow and dominates gen_step once the matmuls are packed
+// (4C GELUs per layer per lane per token). This polynomial tanh —
+// exp2-style range reduction, degree-5 e^r polynomial, bit-trick scale —
+// is pure float arithmetic with no libm call. |rel err| < 3e-6, far inside
+// the generation path's parity tolerance. Training keeps exact libm GELU
+// (gelu_scalar) so gradients and the *_ref parity stay bit-comparable.
 
 inline float fast_exp(float x) {
   x = x < -87.f ? -87.f : x;
   x = x > 88.f ? 88.f : x;
-  const float nf = std::floor(x * 1.44269504089f + 0.5f);
+  // floor() of the rounded exponent, |y| < 2^7: truncate, then step down
+  // for negative non-integers. Exact, and cheaper than libm's floorf.
+  const float y = x * 1.44269504089f + 0.5f;
+  const float yt = static_cast<float>(static_cast<std::int32_t>(y));
+  const float nf = yt > y ? yt - 1.f : yt;
   const float r = x - nf * 0.69314718056f;
   float p = 0.008333333f;
   p = p * r + 0.041666667f;

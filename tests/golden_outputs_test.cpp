@@ -308,6 +308,30 @@ TEST(GoldenOutputs, GptSmallForwardBackward) {
   EXPECT_EQ(grads, 0xc5ecb657b00bd0deull);
 }
 
+// Incremental decoding of the campaign model: 93 KV-cached steps over a
+// batch of 32, every step's logits.
+TEST(GoldenOutputs, GptSmallGenSteps) {
+  if (!ml_bits_pinned()) {
+    GTEST_SKIP() << "ML digests are pinned for -march=x86-64-v3 kernels; "
+                    "this build's is \"" CHATFUZZ_KERNEL_MARCH "\"";
+  }
+  const ml::GptConfig mc = ml::GptConfig::small();
+  const ml::Gpt model(mc, 2024);
+  const int B = 32, steps = 93, V = mc.vocab;
+  Rng rng(19);
+  ml::Gpt::GenState st = model.gen_begin(B);
+  std::vector<int> toks(B);
+  std::vector<float> logits(static_cast<std::size_t>(B) * V);
+  Fnv d;
+  for (int t = 0; t < steps; ++t) {
+    for (int& tok : toks) tok = static_cast<int>(rng.below(V));
+    model.gen_step(st, toks.data(), logits.data());
+    d.bytes(logits.data(), logits.size() * sizeof(float));
+  }
+  EXPECT_EQ(d.value(), 0x4188b1f6e013eca8ull)
+      << "gen digest now: 0x" << std::hex << d.value() << "ull";
+}
+
 // Stage-1/2 training of a two-layer model, then a three-batch stage-3
 // campaign: generation, PPO updates and the checkpointed policy/optimizer.
 TEST(GoldenOutputs, TinyChatFuzzCampaign) {
