@@ -232,11 +232,13 @@ void weighted_row_sum(float* o, const float* w, const float* rows,
 /// in blocks of kBlock held in registers for the whole t3 sweep; `na`
 /// (scratch of round_up(n, kBlock) floats) holds 0 - a[t2], and while t3
 /// crosses a block's own positions its lane t2 == t3 selects 1 - a[t3].
+constexpr int kSoftmaxVecs = 4, kSoftmaxBlock = kSoftmaxVecs * kLanes;
+
 void softmax_backward_row(float* dpre, float* na, const float* a,
                           const float* da, int n) {
   typedef int Lanes8 __attribute__((vector_size(32)));
   const Lanes8 lane = {0, 1, 2, 3, 4, 5, 6, 7};
-  constexpr int kVecs = 4, kBlock = kVecs * kLanes;
+  constexpr int kVecs = kSoftmaxVecs, kBlock = kSoftmaxBlock;
   const int nb = (n + kBlock - 1) / kBlock * kBlock;
   for (int t2 = 0; t2 < n; ++t2) na[t2] = 0.f - a[t2];
   for (int t2 = n; t2 < nb; ++t2) na[t2] = 0.f;
@@ -314,7 +316,7 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   const std::size_t Tp = round_up_lanes(T);
   std::vector<float> vt(hs * Tp, 0.f), dvt(hs * Tp), dkt(hs * Tp);
-  std::vector<float> acc(Tp), na(Tp + 4 * kLanes), g(Tp);
+  std::vector<float> acc(Tp), na(Tp + kSoftmaxBlock), g(Tp);
   for (int b = 0; b < B; ++b) {
     for (int h = 0; h < NH; ++h) {
       gather_head(vt.data(), Tp, qkv, b, h, 2, T, C, hs);
