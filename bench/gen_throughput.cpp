@@ -1,7 +1,8 @@
 // Generation/simulation throughput bench: tokens/sec through the GPT
 // incremental-decode path, golden-model ISS steps/sec, and a raw matmul
-// kernel microbench (vectorized kernel vs. the seed's naive reference). Emits ONE line of JSON on stdout so successive runs can be
-// appended to a BENCH_*.json trajectory file:
+// kernel microbench (vectorized kernel vs. the seed's naive reference).
+// Emits ONE line of JSON on stdout so successive runs can be appended to a
+// BENCH_*.json trajectory file:
 //
 //   ./bench_gen_throughput [--smoke] >> BENCH_gen_throughput.json
 //
@@ -140,7 +141,8 @@ int main(int argc, char** argv) {
       "\"kernel_gflops\":%.3f,\"kernel_gflops_ref\":%.3f,"
       "\"kernel_speedup\":%.2f,"
       "\"iss_steps_per_sec\":%.0f,\"iss_steps\":%llu}\n",
-      smoke ? "true" : "false", tps, gflops_fast, gflops_ref, gflops_fast / gflops_ref, iss_sps,
+      smoke ? "true" : "false", tps, gflops_fast, gflops_ref,
+      gflops_fast / gflops_ref, iss_sps,
       static_cast<unsigned long long>(run.steps));
   return 0;
 }

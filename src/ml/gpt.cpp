@@ -226,14 +226,14 @@ void weighted_row_sum(float* o, const float* w, const float* rows,
   }
 }
 
+constexpr int kSoftmaxVecs = 4, kSoftmaxBlock = kSoftmaxVecs * kLanes;
+
 /// Softmax backward of one attention row:
 ///   dpre[t2] += sum_t3 a[t3] * (ind(t2 == t3) - a[t2]) * da[t3]
 /// for t2, t3 < n, one chain per t2 over ascending t3. Lanes run across t2
 /// in blocks of kBlock held in registers for the whole t3 sweep; `na`
 /// (scratch of round_up(n, kBlock) floats) holds 0 - a[t2], and while t3
 /// crosses a block's own positions its lane t2 == t3 selects 1 - a[t3].
-constexpr int kSoftmaxVecs = 4, kSoftmaxBlock = kSoftmaxVecs * kLanes;
-
 void softmax_backward_row(float* dpre, float* na, const float* a,
                           const float* da, int n) {
   typedef int Lanes8 __attribute__((vector_size(32)));

@@ -119,7 +119,7 @@ struct Gemm {
   std::size_t crs;
   const float* init;  // nullptr = start from zero
   std::size_t irs;
-  int K;
+  int K;  // reduction length
 };
 
 constexpr int kTileRows = 6;  // 12 accumulators + 2 B vectors + 1 broadcast
@@ -163,7 +163,9 @@ void tile_tail(const Gemm& g, const float* a, const float* b, float* c,
                const float* init, int j0, int j1) {
   for (int j = j0; j < j1; ++j) {
     float acc[R];
-    for (int r = 0; r < R; ++r) acc[r] = init != nullptr ? init[r * g.irs + j] : 0.f;
+    for (int r = 0; r < R; ++r) {
+      acc[r] = init != nullptr ? init[r * g.irs + j] : 0.f;
+    }
     for (int k = 0; k < g.K; ++k) {
       const float bv = b[static_cast<std::size_t>(k) * g.bks + j];
       const float* ak = a + static_cast<std::size_t>(k) * g.aks;
@@ -177,8 +179,9 @@ template <int R>
 void block_rows(const Gemm& g, int r0, int ncols) {
   const float* a = g.a + static_cast<std::size_t>(r0) * g.ars;
   float* c = g.c + static_cast<std::size_t>(r0) * g.crs;
-  const float* init =
-      g.init != nullptr ? g.init + static_cast<std::size_t>(r0) * g.irs : nullptr;
+  const float* init = g.init != nullptr
+                          ? g.init + static_cast<std::size_t>(r0) * g.irs
+                          : nullptr;
   int j = 0;
   for (; j + 16 <= ncols; j += 16) {
     tile16<R>(g, a, g.b + j, c + j, init != nullptr ? init + j : nullptr);
@@ -189,7 +192,9 @@ void block_rows(const Gemm& g, int r0, int ncols) {
 /// Rows [r0, r1) x columns [0, ncols) of `g`.
 void gemm_rows(const Gemm& g, int r0, int r1, int ncols) {
   int r = r0;
-  for (; r + kTileRows <= r1; r += kTileRows) block_rows<kTileRows>(g, r, ncols);
+  for (; r + kTileRows <= r1; r += kTileRows) {
+    block_rows<kTileRows>(g, r, ncols);
+  }
   switch (r1 - r) {
     case 5: block_rows<5>(g, r, ncols); break;
     case 4: block_rows<4>(g, r, ncols); break;
@@ -239,7 +244,7 @@ void range_backward_dw(float* dw, const float* dout, const float* inp,
   }
 }
 #else
-// ---- generic SAXPY loops (no AVX2/FMA) ---------------------------------------
+// ---- generic SAXPY loops (no AVX2/FMA) --------------------------------------
 /// NB output rows in SAXPY order: each row starts at bias and accumulates
 /// x[n, i] * wt_row_i with ascending i. Unit stride on every stream and no
 /// loop-carried dependence in the oc loop, so it vectorizes as-is, and
