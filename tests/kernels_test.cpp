@@ -1,7 +1,8 @@
 // Parity and determinism tests for the vectorized ML kernel subsystem
 // (ml/kernels.h): every optimized kernel against its naive reference on
-// randomized shapes, bit-identical results across thread counts, and
-// end-to-end incremental-vs-full generation parity.
+// randomized shapes, the FMA-chain contract bit for bit, bit-identical
+// results across thread counts, and end-to-end incremental-vs-full
+// generation parity.
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -41,11 +42,13 @@ struct Shape {
   int N, Cin, Cout;
 };
 
-// Includes the tile edges: Cout 259 and 1, N = 4k + 3, Cin = 16.
+// Includes the tile edges: Cout 259 and 1, N = 4k + 3, Cin = 16, and a
+// dweight reduction longer than one 256-row chunk.
 const Shape kShapes[] = {
     {1, 16, 48},  {1, 128, 259}, {3, 64, 256},  {5, 37, 91},
     {8, 128, 512}, {17, 1, 7},   {2, 200, 1},   {64, 48, 48},
     {7, 16, 259}, {11, 64, 1},   {19, 16, 33},  {35, 64, 259},
+    {259, 16, 24},
 };
 
 /// The kernels' bits are pinned (FMA chains) only in the default build.
