@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/generator.h"
 #include "coverage/cover.h"
 #include "coverage/merge.h"
 #include "coverage/multi.h"
+#include "riscv/decode.h"
 #include "rtlsim/core.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -330,70 +335,170 @@ TEST(SparseCoverage, StatementJournalMatchesFullScanShadow) {
   }
 }
 
-// ---- Deferred select chains -------------------------------------------------
+// ---- Select chains ----------------------------------------------------------
 
-TEST(SparseCoverage, DeferredSelectChainsMatchPerInstructionEvaluation) {
-  // The opcode-indexed comparator chains may be histogrammed per run and
-  // folded in bulk (CoreConfig::deferred_select_chains); every cumulative
-  // hit count and every per-test stand-alone bin must come out identical
-  // to evaluating each comparator on each instruction the way the seed
-  // model did — across several tests so cumulative state is covered too.
-  corpus::CorpusGenerator gen({}, 31);
-  sim::Platform plat{.max_steps = 256};
-  rtl::CoreConfig deferred_cfg = rtl::CoreConfig::rocket();
-  deferred_cfg.deferred_select_chains = true;
-  rtl::CoreConfig eager_cfg = rtl::CoreConfig::rocket();
-  eager_cfg.deferred_select_chains = false;
-  CoverageDB deferred_db, eager_db;
-  rtl::RtlCore deferred_core(deferred_cfg, deferred_db, plat);
-  rtl::RtlCore eager_core(eager_cfg, eager_db, plat);
-  ASSERT_EQ(deferred_db.num_bins(), eager_db.num_bins());
-
-  for (int t = 0; t < 10; ++t) {
-    const corpus::Program prog = gen.function();
-    deferred_db.begin_test();
-    eager_db.begin_test();
-    deferred_core.reset(prog);
-    deferred_core.run();
-    eager_core.reset(prog);
-    eager_core.run();
-    ASSERT_EQ(deferred_db.total_covered(), eager_db.total_covered())
-        << "test " << t;
-    ASSERT_EQ(deferred_db.test_covered(), eager_db.test_covered())
-        << "test " << t;
-    for (std::size_t b = 0; b < eager_db.num_bins(); ++b) {
-      ASSERT_EQ(deferred_db.bin_hits(b), eager_db.bin_hits(b))
-          << "test " << t << " bin " << b << " ("
-          << eager_db.point_name(static_cast<PointId>(b / 2)) << ")";
-      ASSERT_EQ(deferred_db.test_bin_hit(b), eager_db.test_bin_hit(b))
-          << "test " << t << " bin " << b;
+/// The DUT's opcode-indexed select chains (decode.sel.<op>,
+/// cross.<priv>.op.<op>, cross.<priv>.<class>) derived from the commit
+/// stream alone. Every chain comparator is evaluated once per committed
+/// instruction: decode.sel.<op> is true when the instruction decodes to
+/// <op>, and the cross chains also need the instruction to issue in <priv>
+/// (U or S). A fetch page fault commits instr 0, an invalid decode, which
+/// makes every opcode comparator false.
+class SelectChainShadow {
+ public:
+  explicit SelectChainShadow(const CoverageDB& db) {
+    const std::string_view kClasses[] = {"load", "store", "amo",    "lrsc",
+                                         "csr",  "muldiv", "fencei", "branch"};
+    for (PointId id = 0; id < db.num_points(); ++id) {
+      std::string_view name = db.point_name(id);
+      Chain c{.id = id};
+      if (name.starts_with("decode.sel.")) {
+        name.remove_prefix(11);
+        c.op = opcode_index(name);
+      } else if (name.starts_with("cross.user.") ||
+                 name.starts_with("cross.super.")) {
+        c.priv = name[6] == 'u' ? riscv::Priv::kUser
+                                : riscv::Priv::kSupervisor;
+        name.remove_prefix(name.find('.', 6) + 1);
+        if (name.starts_with("op.")) {
+          name.remove_prefix(3);
+          c.op = opcode_index(name);
+        } else {
+          const auto* it = std::find(std::begin(kClasses), std::end(kClasses),
+                                     name);
+          EXPECT_NE(it, std::end(kClasses)) << db.point_name(id);
+          c.cls = static_cast<int>(it - std::begin(kClasses));
+        }
+      } else {
+        continue;
+      }
+      EXPECT_TRUE(c.op < riscv::kNumOpcodes || c.cls >= 0)
+          << db.point_name(id);
+      chains_.push_back(c);
     }
   }
-}
 
-TEST(SparseCoverage, DeferredChainsFoldOnResetOfAnAbandonedRun) {
-  // Stepping a few instructions and then resetting must still land the
-  // deferred counters — the DB may never lose evaluations the eager mode
-  // would have recorded.
-  corpus::CorpusGenerator gen({}, 5);
-  const corpus::Program prog = gen.function();
-  sim::Platform plat{.max_steps = 256};
-  rtl::CoreConfig eager_cfg = rtl::CoreConfig::rocket();
-  eager_cfg.deferred_select_chains = false;
-  CoverageDB deferred_db, eager_db;
-  rtl::RtlCore deferred_core(rtl::CoreConfig::rocket(), deferred_db, plat);
-  rtl::RtlCore eager_core(eager_cfg, eager_db, plat);
+  std::size_t num_chains() const { return chains_.size(); }
 
-  deferred_core.reset(prog);
-  eager_core.reset(prog);
-  for (int i = 0; i < 5; ++i) {
-    deferred_core.step();
-    eager_core.step();
+  void begin_test() {
+    for (Chain& c : chains_) c.test_true = c.test_false = 0;
   }
-  deferred_core.reset(prog);  // abandon mid-run; fold must happen here
-  eager_core.reset(prog);
-  for (std::size_t b = 0; b < eager_db.num_bins(); ++b) {
-    ASSERT_EQ(deferred_db.bin_hits(b), eager_db.bin_hits(b)) << "bin " << b;
+
+  void on_commit(const sim::CommitRecord& rec) {
+    const riscv::Decoded d = riscv::decode(rec.instr);
+    const std::size_t op =
+        d.valid() ? static_cast<std::size_t>(d.op) : riscv::kNumOpcodes;
+    const std::string_view mn = d.valid() ? riscv::mnemonic(d.op) : "";
+    const bool classes[8] = {
+        mn == "lb" || mn == "lh" || mn == "lw" || mn == "ld" || mn == "lbu" ||
+            mn == "lhu" || mn == "lwu",
+        mn == "sb" || mn == "sh" || mn == "sw" || mn == "sd",
+        mn.starts_with("amo"),
+        mn.starts_with("lr.") || mn.starts_with("sc."),
+        mn.starts_with("csr"),
+        mn.starts_with("mul") || mn.starts_with("div") ||
+            mn.starts_with("rem"),
+        mn == "fence.i",
+        mn.starts_with("b")};
+    for (Chain& c : chains_) {
+      bool v = c.cls >= 0 ? classes[c.cls] : op == c.op;
+      if (c.priv) v = v && rec.priv == *c.priv;
+      ++(v ? c.test_true : c.test_false);
+      ++(v ? c.cum_true : c.cum_false);
+    }
+  }
+
+  void expect_matches(const CoverageDB& db) const {
+    for (const Chain& c : chains_) {
+      const std::size_t t = 2 * static_cast<std::size_t>(c.id) + 1;
+      const std::size_t f = t - 1;
+      ASSERT_EQ(db.bin_hits(t), c.cum_true) << db.point_name(c.id);
+      ASSERT_EQ(db.bin_hits(f), c.cum_false) << db.point_name(c.id);
+      ASSERT_EQ(db.test_bin_hit(t), c.test_true != 0) << db.point_name(c.id);
+      ASSERT_EQ(db.test_bin_hit(f), c.test_false != 0) << db.point_name(c.id);
+    }
+  }
+
+  /// True if some cross.<priv>.op.* comparator has evaluated true.
+  bool op_chain_hit_in(riscv::Priv priv) const {
+    return std::any_of(chains_.begin(), chains_.end(), [&](const Chain& c) {
+      return c.priv == priv && c.cls < 0 && c.cum_true != 0;
+    });
+  }
+
+ private:
+  struct Chain {
+    PointId id = 0;
+    std::optional<riscv::Priv> priv;  // nullopt: any privilege
+    std::size_t op = riscv::kNumOpcodes;
+    int cls = -1;  // index into the class list, or -1 for an opcode chain
+    std::uint64_t cum_true = 0, cum_false = 0;
+    std::uint64_t test_true = 0, test_false = 0;
+  };
+
+  static std::size_t opcode_index(std::string_view mnemonic) {
+    for (std::size_t i = 0; i < riscv::kNumOpcodes; ++i) {
+      if (riscv::all_specs()[i].mnemonic == mnemonic) return i;
+    }
+    return riscv::kNumOpcodes;
+  }
+
+  std::vector<Chain> chains_;
+};
+
+TEST(SparseCoverage, SelectChainsMatchCommitStreamShadow) {
+  // Chain counters are histogrammed per run and land in the DB when the run
+  // stops or the core resets, so after every test each chain bin, its
+  // cumulative count and its per-test stand-alone flag must equal what the
+  // commit stream implies. Test 3 is abandoned after a few steps: the reset
+  // that abandons it must land its counts too. The privilege and VM idioms
+  // are weighted up so the U- and S-mode chains are exercised, not just
+  // counted false.
+  corpus::CorpusConfig gen_cfg;
+  gen_cfg.w_priv = 4.0;
+  gen_cfg.w_vm = 3.0;
+  const sim::Platform plat{.max_steps = 512};
+  for (const bool deferred : {true, false}) {
+    for (const bool rocket : {true, false}) {
+      for (const bool bugs : {true, false}) {
+        rtl::CoreConfig cfg =
+            rocket ? rtl::CoreConfig::rocket() : rtl::CoreConfig::boom();
+        cfg.deferred_select_chains = deferred;
+        if (!bugs) cfg.bugs = rtl::BugInjections::none();
+        SCOPED_TRACE(cfg.name + (bugs ? " bugs" : " no bugs") +
+                     (deferred ? " deferred" : " eager"));
+        CoverageDB db;
+        rtl::RtlCore core(cfg, db, plat);
+        SelectChainShadow shadow(db);
+        ASSERT_EQ(shadow.num_chains(),
+                  riscv::kNumOpcodes * (rocket ? 3 : 1) + (rocket ? 16 : 0));
+        corpus::CorpusGenerator gen(gen_cfg, 31);
+        for (int t = 0; t < 24; ++t) {
+          SCOPED_TRACE("test " + std::to_string(t));
+          const corpus::Program prog = gen.function();
+          db.begin_test();
+          shadow.begin_test();
+          core.reset(prog);
+          if (t == 3) {
+            for (int i = 0; i < 5; ++i) {
+              const std::optional<sim::CommitRecord> rec = core.step();
+              ASSERT_TRUE(rec.has_value());
+              shadow.on_commit(*rec);
+            }
+            core.reset(prog);  // abandon the run mid-way
+          } else {
+            for (const sim::CommitRecord& rec : core.run().trace) {
+              shadow.on_commit(rec);
+            }
+          }
+          shadow.expect_matches(db);
+        }
+        if (rocket) {
+          EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kUser));
+          EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kSupervisor));
+        }
+      }
+    }
   }
 }
 
