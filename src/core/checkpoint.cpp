@@ -7,8 +7,8 @@ namespace chatfuzz::core {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x43465A4B;  // "CFZK"
-// v2: CoreConfig::deferred_select_chains joined the config record (it had
-// been silently defaulting on restore since it was introduced).
+// v2: a select-chain accounting flag joined the config record. The flag is
+// gone (one accounting remains), but its byte stays; see write_core_config.
 // v3: the three privileged/Sv39 bug injections (wrong_delegation,
 // skip_perm_check, stale_tlb) joined the BugInjections record.
 // v4: the out-of-order backend fields (out_of_order, rob_size, phys_regs,
@@ -33,7 +33,12 @@ void write_core_config(ser::Writer& w, const rtl::CoreConfig& c) {
   w.u32(c.mispredict_penalty);
   w.boolean(c.superscalar);
   w.u32(c.cross_depth);
-  w.boolean(c.deferred_select_chains);
+  // Former select-chain accounting flag, always true. The byte stays so the
+  // record keeps its layout: golden_outputs_test and perfbench's
+  // expected.json hash campaign.ckpt bytes, and the dist ConfigMsg
+  // fingerprint is a CRC of this record, so dropping it (or bumping the
+  // version instead) would move output bits with no change in behaviour.
+  w.boolean(true);
   w.boolean(c.out_of_order);
   w.u32(c.rob_size);
   w.u32(c.phys_regs);
@@ -66,7 +71,7 @@ void read_core_config(ser::Reader& r, rtl::CoreConfig& c) {
   c.mispredict_penalty = r.u32();
   c.superscalar = r.boolean();
   c.cross_depth = r.u32();
-  c.deferred_select_chains = r.boolean();
+  (void)r.boolean();  // former select-chain flag (see write_core_config)
   c.out_of_order = r.boolean();
   c.rob_size = r.u32();
   c.phys_regs = r.u32();

@@ -100,19 +100,6 @@ struct CoreConfig {
   /// reduced (BOOM build: the instrumented subset saturates near 97%).
   unsigned cross_depth = 2;
 
-  /// Defer the opcode-indexed comparator chains (decode.sel.* and
-  /// cross.{user,super}.op.*) to per-run histograms instead of evaluating
-  /// every comparator on every instruction. Exactly one comparator of a
-  /// chain is true per instruction, so the per-test hit counts and
-  /// stand-alone bins fold from an opcode histogram bit-identically — the
-  /// chains are the instrumentation-layout-proportional share of the
-  /// per-instruction cost, and deferring them is most of the campaign
-  /// hot-path speedup. Counters land in the CoverageDB when the run stops
-  /// (or at reset), not per instruction; switch off for strict
-  /// per-instruction accounting — bench_campaign_throughput does, to
-  /// reproduce the seed pipeline as its baseline.
-  bool deferred_select_chains = true;
-
   /// Select the out-of-order backend (OooCore): 2-wide superscalar with
   /// register renaming, a reorder buffer, an LSU with a store queue +
   /// store-to-load forwarding, and branch speculation with

@@ -386,50 +386,18 @@ void RtlCore::evaluate_cross_units() {
   const int pidx = ev_.priv == Priv::kUser        ? 0
                    : ev_.priv == Priv::kSupervisor ? 1
                                                    : -1;
-  // priv x class: evaluated every instruction (full-depth build only).
-  if (!p_cross_priv_class_.empty()) {
-    if (cfg_.deferred_select_chains) {
-      if (pidx >= 0) {
-        for (int c = 0; c < 8; ++c) {
-          priv_class_count_[static_cast<std::size_t>(pidx) * 8 +
-                            static_cast<std::size_t>(c)] += classes[c] ? 1 : 0;
-        }
-      }
-    } else {
-      for (int p = 0; p < 2; ++p) {
-        const riscv::Priv priv = p == 0 ? Priv::kUser : Priv::kSupervisor;
-        for (int c = 0; c < 8; ++c) {
-          cc(p_cross_priv_class_[p * 8 + c], ev_.priv == priv && classes[c]);
-        }
-      }
+  // priv x class (full-depth build only).
+  if (!p_cross_priv_class_.empty() && pidx >= 0) {
+    for (int c = 0; c < 8; ++c) {
+      priv_class_count_[static_cast<std::size_t>(pidx) * 8 +
+                        static_cast<std::size_t>(c)] += classes[c] ? 1 : 0;
     }
   }
   // privilege-gated decode chains (depth 2).
-  if (!p_cross_op_priv_.empty()) {
-    if (cfg_.deferred_select_chains) {
-      if (pidx >= 0) {
-        ++op_priv_count_[static_cast<std::size_t>(pidx) *
-                             (riscv::kNumOpcodes + 1) +
-                         cur_op_index_];
-      }
-    } else {
-      for (int p = 0; p < 2; ++p) {
-        const riscv::Priv priv = p == 0 ? Priv::kUser : Priv::kSupervisor;
-        const bool in_priv = ev_.priv == priv;
-        const std::size_t base =
-            static_cast<std::size_t>(p) * riscv::kNumOpcodes;
-        if (!in_priv) {
-          // All comparators evaluate false in one pass.
-          for (std::size_t i = 0; i < riscv::kNumOpcodes; ++i) {
-            db_.hit(p_cross_op_priv_[base + i], false);
-          }
-        } else {
-          for (std::size_t i = 0; i < riscv::kNumOpcodes; ++i) {
-            db_.hit(p_cross_op_priv_[base + i], i == cur_op_index_);
-          }
-        }
-      }
-    }
+  if (!p_cross_op_priv_.empty() && pidx >= 0) {
+    ++op_priv_count_[static_cast<std::size_t>(pidx) *
+                         (riscv::kNumOpcodes + 1) +
+                     cur_op_index_];
   }
   // sequence pairs + cache crosses, in registration order; entries past
   // p_seq_/p_cache_cross_.size() (reduced cross_depth builds) are computed
@@ -499,8 +467,8 @@ void RtlCore::evaluate_cross_units() {
 }
 
 void RtlCore::reset(std::span<const std::uint32_t> program) {
-  // A run abandoned mid-flight still owns deferred chain counters; land
-  // them first so the DB holds every evaluation the old code would have.
+  // A run abandoned mid-flight still owns chain counters; land them first
+  // so the DB holds every comparator evaluation of that run.
   fold_deferred_chains();
   mem_.clear();
   mem_.load_words(plat_.ram_base, program);
@@ -959,14 +927,8 @@ std::optional<CommitRecord> RtlCore::step() {
       rec.instr = 0;
       rec.priv = priv_;
       cur_op_index_ = riscv::kNumOpcodes;
-      if (cfg_.deferred_select_chains) {
-        ++chain_steps_;
-        ++op_count_[cur_op_index_];
-      } else {
-        for (std::size_t i = 0; i < p_dec_op_.size(); ++i) {
-          cc(p_dec_op_[i], false);
-        }
-      }
+      ++chain_steps_;
+      ++op_count_[cur_op_index_];
       raise(rec, pf, pc_);
       evaluate_cross_units();
       if (metrics_ != nullptr) {
@@ -1073,17 +1035,11 @@ std::optional<CommitRecord> RtlCore::step() {
     ev_.is_fencei = d.op == Opcode::kFenceI;
     ev_.is_jump = d.op == Opcode::kJal || d.op == Opcode::kJalr;
   }
-  // Per-opcode select chain (one comparator per table row, as in RTL).
-  // Deferred mode histograms the decoded opcode instead of touching every
-  // comparator's bin here; fold_deferred_chains() lands the same counts.
-  if (cfg_.deferred_select_chains) {
-    ++chain_steps_;
-    ++op_count_[cur_op_index_];
-  } else {
-    for (std::size_t i = 0; i < p_dec_op_.size(); ++i) {
-      cc(p_dec_op_[i], d.valid() && static_cast<std::size_t>(d.op) == i);
-    }
-  }
+  // Per-opcode select chain (one comparator per table row, as in RTL):
+  // histogram the decoded opcode instead of touching every comparator's
+  // bin here; fold_deferred_chains() lands the counts when the run stops.
+  ++chain_steps_;
+  ++op_count_[cur_op_index_];
 
   evaluate_background_units(d);
 

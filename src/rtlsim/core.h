@@ -103,10 +103,9 @@ class RtlCore final : public DutCore {
   }
   void register_points();
 
-  /// Flush the deferred select-chain histograms into the coverage DB (see
-  /// CoreConfig::deferred_select_chains). Called whenever the run stops and
-  /// at reset, so any state a test observes after a run is bit-identical to
-  /// per-instruction evaluation.
+  /// Flush the select-chain histograms into the coverage DB. Called
+  /// whenever the run stops and at reset, so any state a test observes
+  /// after a run holds every comparator evaluation of that run.
   void fold_deferred_chains();
 
   // -- trap unit -------------------------------------------------------------
@@ -265,9 +264,12 @@ class RtlCore final : public DutCore {
   std::size_t cur_op_index_ = 0;  // decoded opcode index (kNumOpcodes = invalid)
   std::uint64_t mtvec_reset_value_ = 0;
 
-  // Deferred select-chain accounting (CoreConfig::deferred_select_chains):
-  // per-instruction opcode/privilege histograms, folded into the DB in one
-  // pass by fold_deferred_chains(). The +1 slot is the invalid decode.
+  // Select-chain accounting: the opcode-indexed comparator chains
+  // (decode.sel.*, cross.{user,super}.op.*, cross.{user,super}.<class>)
+  // are never evaluated comparator by comparator. Exactly one comparator of
+  // a chain is true per instruction, so per-run opcode/privilege histograms
+  // fold into the DB in one pass (fold_deferred_chains()) with the same
+  // counts and stand-alone bins. The +1 slot is the invalid decode.
   std::uint64_t chain_steps_ = 0;
   std::vector<std::uint64_t> op_count_;       // [kNumOpcodes + 1]
   std::vector<std::uint64_t> op_priv_count_;  // [2][kNumOpcodes + 1]

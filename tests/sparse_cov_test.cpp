@@ -351,7 +351,8 @@ class SelectChainShadow {
                                          "csr",  "muldiv", "fencei", "branch"};
     for (PointId id = 0; id < db.num_points(); ++id) {
       std::string_view name = db.point_name(id);
-      Chain c{.id = id};
+      Chain c;
+      c.id = id;
       if (name.starts_with("decode.sel.")) {
         name.remove_prefix(11);
         c.op = opcode_index(name);
@@ -458,45 +459,41 @@ TEST(SparseCoverage, SelectChainsMatchCommitStreamShadow) {
   gen_cfg.w_priv = 4.0;
   gen_cfg.w_vm = 3.0;
   const sim::Platform plat{.max_steps = 512};
-  for (const bool deferred : {true, false}) {
-    for (const bool rocket : {true, false}) {
-      for (const bool bugs : {true, false}) {
-        rtl::CoreConfig cfg =
-            rocket ? rtl::CoreConfig::rocket() : rtl::CoreConfig::boom();
-        cfg.deferred_select_chains = deferred;
-        if (!bugs) cfg.bugs = rtl::BugInjections::none();
-        SCOPED_TRACE(cfg.name + (bugs ? " bugs" : " no bugs") +
-                     (deferred ? " deferred" : " eager"));
-        CoverageDB db;
-        rtl::RtlCore core(cfg, db, plat);
-        SelectChainShadow shadow(db);
-        ASSERT_EQ(shadow.num_chains(),
-                  riscv::kNumOpcodes * (rocket ? 3 : 1) + (rocket ? 16 : 0));
-        corpus::CorpusGenerator gen(gen_cfg, 31);
-        for (int t = 0; t < 24; ++t) {
-          SCOPED_TRACE("test " + std::to_string(t));
-          const corpus::Program prog = gen.function();
-          db.begin_test();
-          shadow.begin_test();
-          core.reset(prog);
-          if (t == 3) {
-            for (int i = 0; i < 5; ++i) {
-              const std::optional<sim::CommitRecord> rec = core.step();
-              ASSERT_TRUE(rec.has_value());
-              shadow.on_commit(*rec);
-            }
-            core.reset(prog);  // abandon the run mid-way
-          } else {
-            for (const sim::CommitRecord& rec : core.run().trace) {
-              shadow.on_commit(rec);
-            }
+  for (const bool rocket : {true, false}) {
+    for (const bool bugs : {true, false}) {
+      rtl::CoreConfig cfg =
+          rocket ? rtl::CoreConfig::rocket() : rtl::CoreConfig::boom();
+      if (!bugs) cfg.bugs = rtl::BugInjections::none();
+      SCOPED_TRACE(cfg.name + (bugs ? " bugs" : " no bugs"));
+      CoverageDB db;
+      rtl::RtlCore core(cfg, db, plat);
+      SelectChainShadow shadow(db);
+      ASSERT_EQ(shadow.num_chains(),
+                riscv::kNumOpcodes * (rocket ? 3 : 1) + (rocket ? 16 : 0));
+      corpus::CorpusGenerator gen(gen_cfg, 31);
+      for (int t = 0; t < 24; ++t) {
+        SCOPED_TRACE("test " + std::to_string(t));
+        const corpus::Program prog = gen.function();
+        db.begin_test();
+        shadow.begin_test();
+        core.reset(prog);
+        if (t == 3) {
+          for (int i = 0; i < 5; ++i) {
+            const std::optional<sim::CommitRecord> rec = core.step();
+            ASSERT_TRUE(rec.has_value());
+            shadow.on_commit(*rec);
           }
-          shadow.expect_matches(db);
+          core.reset(prog);  // abandon the run mid-way
+        } else {
+          for (const sim::CommitRecord& rec : core.run().trace) {
+            shadow.on_commit(rec);
+          }
         }
-        if (rocket) {
-          EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kUser));
-          EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kSupervisor));
-        }
+        shadow.expect_matches(db);
+      }
+      if (rocket) {
+        EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kUser));
+        EXPECT_TRUE(shadow.op_chain_hit_in(riscv::Priv::kSupervisor));
       }
     }
   }
