@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
   chatfuzz::sim::IsaSim sim(plat);
   sim.reset(prog);
   sim.run();  // warm-up (page faults, branch history)
-  // Timed run starts from reset like every campaign test does, so the
-  // number includes the cold predecode-cache repopulation each test pays.
+  // Timed run starts from reset like every campaign test does.
   sim.reset(prog);
   const double t0 = now_sec();
   const auto run = sim.run();

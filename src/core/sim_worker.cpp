@@ -57,14 +57,10 @@ namespace {
 
 /// Drain a simulator's per-test telemetry tallies into the process-wide
 /// registry. Counter handles resolve once per process (the names never
-/// change), so the per-test cost is four relaxed atomic adds.
+/// change), so the per-test cost is two relaxed atomic adds.
 void flush_sim_counters(const obs::SimCounters& c) {
-  static obs::Counter* const pd_hits = obs::counter("sim.predecode_hits");
-  static obs::Counter* const pd_misses = obs::counter("sim.predecode_misses");
   static obs::Counter* const tlb_hits = obs::counter("sim.tlb_hits");
   static obs::Counter* const tlb_misses = obs::counter("sim.tlb_misses");
-  pd_hits->add(c.predecode_hits);
-  pd_misses->add(c.predecode_misses);
   tlb_hits->add(c.tlb_hits);
   tlb_misses->add(c.tlb_misses);
 }

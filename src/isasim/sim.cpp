@@ -38,7 +38,6 @@ void IsaSim::reset(std::span<const std::uint32_t> program) {
   clint_.reset();
   reservation_.reset();
   program_end_ = plat_.ram_base + 4 * program.size();
-  predecode_.flush();
   flush_tlb();
   trace_.clear();
   // One reservation up front: the commit trace grows to max_steps on every
@@ -333,12 +332,9 @@ std::optional<CommitRecord> IsaSim::step() {
     stop_reason_ = StopReason::kStepLimit;
     return std::nullopt;
   }
+  std::uint64_t fetch_pa = pc_;
   if (translation_active()) {
-    // Translated fetch. The predecode cache keys on (virtual) pc while store
-    // invalidation uses physical addresses, so it is bypassed entirely under
-    // Sv39 — every fetch re-reads and re-decodes through the walker.
-    std::uint64_t pa = pc_;
-    if (const Exception f = translate(pc_, Access::kFetch, pa);
+    if (const Exception f = translate(pc_, Access::kFetch, fetch_pa);
         f != Exception::kNone) {
       ++steps_;
       ++csrs_.cycle;
@@ -354,60 +350,21 @@ std::optional<CommitRecord> IsaSim::step() {
       }
       return rec;
     }
-    if (!mem_.in_ram(pa, 4)) {
-      stopped_ = true;
-      stop_reason_ = StopReason::kPcEscape;
-      return std::nullopt;
-    }
-    const auto raw = static_cast<std::uint32_t>(mem_.read(pa, 4));
-    if (raw == 0) {
-      stopped_ = true;
-      stop_reason_ = StopReason::kProgramEnd;
-      return std::nullopt;
-    }
-    const Decoded d = riscv::decode(raw);
-    ++steps_;
-    ++csrs_.cycle;
-    if (plat_.clint_enabled) service_interrupts();
-    CommitRecord rec;
-    rec.pc = pc_;
-    rec.instr = raw;
-    rec.priv = priv_;
-    execute(d, rec);
-    if (rec.exception == Exception::kNone) ++csrs_.instret;
-    if (sink_ != nullptr) {
-      sink_->on_commit(rec);
-    } else {
-      trace_.push_back(rec);
-    }
-    return rec;
   }
-  // Fetch through the predecode cache: a hit proves pc was in RAM and the
-  // word nonzero when inserted, and store/fence.i invalidation keeps the
-  // bytes current — so the sparse-memory read, the RAM range check and the
-  // decoder table scan are all skipped on the hot path.
-  std::uint32_t raw;
-  const Decoded* d;
-  if (const auto* hit = predecode_.find(pc_)) {
-    raw = hit->raw;
-    d = &hit->d;
-  } else {
-    if (!mem_.in_ram(pc_, 4)) {
-      stopped_ = true;
-      stop_reason_ = StopReason::kPcEscape;
-      return std::nullopt;
-    }
-    raw = static_cast<std::uint32_t>(mem_.read(pc_, 4));
-    if (raw == 0) {
-      // All-zero word: guaranteed-illegal in RISC-V; used as the end-of-
-      // program marker by the harness (padding after the loaded image).
-      // Never cached, so the marker check stays on the miss path only.
-      stopped_ = true;
-      stop_reason_ = StopReason::kProgramEnd;
-      return std::nullopt;
-    }
-    d = &predecode_.insert(pc_, raw);
+  if (!mem_.in_ram(fetch_pa, 4)) {
+    stopped_ = true;
+    stop_reason_ = StopReason::kPcEscape;
+    return std::nullopt;
   }
+  const auto raw = static_cast<std::uint32_t>(mem_.read(fetch_pa, 4));
+  if (raw == 0) {
+    // All-zero word: guaranteed-illegal in RISC-V; used as the end-of-
+    // program marker by the harness (padding after the loaded image).
+    stopped_ = true;
+    stop_reason_ = StopReason::kProgramEnd;
+    return std::nullopt;
+  }
+  const Decoded d = riscv::decode(raw);
   ++steps_;
   ++csrs_.cycle;
   if (plat_.clint_enabled) service_interrupts();
@@ -417,7 +374,7 @@ std::optional<CommitRecord> IsaSim::step() {
   rec.instr = raw;
   rec.priv = priv_;
 
-  execute(*d, rec);
+  execute(d, rec);
   if (rec.exception == Exception::kNone) ++csrs_.instret;
   if (sink_ != nullptr) {
     sink_->on_commit(rec);
@@ -579,7 +536,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
       const std::uint64_t bits =
           size == 8 ? b : (b & ((1ull << (8 * size)) - 1));
       mem_.write(pa, bits, size);
-      predecode_.invalidate(pa, size);  // self-modifying code
       rec.has_mem = true;
       rec.mem_is_store = true;
       rec.mem_addr = addr;
@@ -685,11 +641,7 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
     case Opcode::kFence:
       break;  // no reordering to fence in a sequential model
     case Opcode::kFenceI:
-      // Golden model is architecturally coherent already (stores invalidate
-      // the predecode cache), but fence.i still drops everything — it is
-      // the documented "make fetch see every prior store" point.
-      predecode_.flush();
-      break;
+      break;  // every fetch reads memory, so stores are already visible
     // ---- System ---------------------------------------------------------------
     case Opcode::kEcall:
       raise(rec,
@@ -825,7 +777,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
         const std::uint64_t bits =
             size == 8 ? b : (b & 0xffffffffull);
         mem_.write(pa, bits, size);
-        predecode_.invalidate(pa, size);
         rec.has_mem = true;
         rec.mem_is_store = true;
         rec.mem_addr = a;
@@ -894,7 +845,6 @@ void IsaSim::execute(const Decoded& d, CommitRecord& rec) {
       const std::uint64_t store_bits =
           size == 8 ? result : (result & 0xffffffffull);
       mem_.write(pa, store_bits, size);
-      predecode_.invalidate(pa, size);
       rec.has_mem = true;
       rec.mem_is_store = true;
       rec.mem_addr = a;

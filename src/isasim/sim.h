@@ -15,7 +15,6 @@
 #include "isasim/trace.h"
 #include "obs/sim_counters.h"
 #include "riscv/instr.h"
-#include "riscv/predecode.h"
 
 namespace chatfuzz::sim {
 
@@ -42,15 +41,13 @@ class IsaSim {
   riscv::Priv priv() const { return priv_; }
   std::uint64_t csr_value(std::uint16_t addr) const;
   const Memory& memory() const { return mem_; }
-  /// Mutable memory access flushes the predecode cache and the TLB:
-  /// external writes bypass the store-path invalidation and may have edited
-  /// page tables, so assume any byte may have been an instruction or a PTE.
-  /// The flush happens at accessor time — write through the freshly
-  /// returned reference; do NOT keep a stored Memory& across run()/step()
-  /// calls and write code bytes through it later, or the next fetch may
-  /// replay a stale decode.
+  /// Mutable memory access flushes the TLB: external writes may have
+  /// edited page tables, so assume any byte may have been a PTE. The flush
+  /// happens at accessor time — write through the freshly returned
+  /// reference; do NOT keep a stored Memory& across run()/step() calls and
+  /// write page tables through it later, or the next access may use a
+  /// stale translation.
   Memory& memory() {
-    predecode_.flush();
     flush_tlb();
     return mem_;
   }
@@ -69,12 +66,10 @@ class IsaSim {
   /// never materializes one.
   void set_sink(CommitSink* sink) { sink_ = sink; }
 
-  /// Telemetry counters accumulated since the last take (predecode/TLB hit
-  /// rates); taking zeroes them. Observation-only.
+  /// Telemetry counters accumulated since the last take (TLB hit rate);
+  /// taking zeroes them. Observation-only.
   obs::SimCounters take_obs_counters() {
     obs::SimCounters c;
-    c.predecode_hits = predecode_.take_hits();
-    c.predecode_misses = predecode_.take_misses();
     c.tlb_hits = obs_tlb_hits_;
     c.tlb_misses = obs_tlb_misses_;
     obs_tlb_hits_ = obs_tlb_misses_ = 0;
@@ -132,9 +127,6 @@ class IsaSim {
   Platform plat_;
   Memory mem_;
   ClintState clint_;
-  // Fetch/decode fast path: a hit skips both the sparse-memory refetch and
-  // the decoder's table scan. Invalidated on RAM stores and fence.i.
-  riscv::PredecodeCache predecode_;
   std::array<std::uint64_t, 32> regs_{};
   std::uint64_t pc_ = 0;
   riscv::Priv priv_ = riscv::Priv::kMachine;

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-// Per-simulator telemetry counters (predecode / TLB hit rates).
+// Per-simulator telemetry counters (TLB hit rate).
 // Plain uint64 fields: the simulators bump private copies on their hot paths
 // (no atomics per retired instruction) and the campaign worker drains them
 // into the process-wide obs registry once per test via take_obs_counters().
@@ -10,14 +10,10 @@
 namespace obs {
 
 struct SimCounters {
-  std::uint64_t predecode_hits = 0;
-  std::uint64_t predecode_misses = 0;
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
 
   SimCounters& operator+=(const SimCounters& o) {
-    predecode_hits += o.predecode_hits;
-    predecode_misses += o.predecode_misses;
     tlb_hits += o.tlb_hits;
     tlb_misses += o.tlb_misses;
     return *this;

@@ -15,7 +15,7 @@ inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 }
 
 inline std::uint64_t hash_start(std::uint64_t start) {
-  // Same mixer the predecode/coverage layers use for open addressing.
+  // MurmurHash3 fmix64: spreads nearby start pcs over the open-addressed table.
   std::uint64_t h = start;
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;

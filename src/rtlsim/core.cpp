@@ -489,7 +489,6 @@ void RtlCore::reset(std::span<const std::uint32_t> program) {
   // paper's harness. Keeping BTB history across tests would also make
   // per-test coverage depend on which tests shared a simulator instance.
   predictor_.flush();
-  predecode_.flush();
   flush_tlb();
   cycles_ = 0;
   last_rd_ = 0;
@@ -995,10 +994,7 @@ std::optional<CommitRecord> RtlCore::step() {
   rec.instr = raw;
   rec.priv = priv_;
 
-  // Decode through the predecode cache: the cached entry is tag-checked
-  // against the word the I$ actually served, so this is always equivalent
-  // to riscv::decode(raw) — just without the table scan on repeat fetches.
-  const Decoded& d = predecode_.lookup(pc_, raw);
+  const Decoded d = riscv::decode(raw);
 
   // ---- Decode-stage condition points ----
   cc(p_dec_valid_, d.valid());
@@ -1316,7 +1312,6 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
         const std::uint64_t bits =
             size == 8 ? b : (b & ((1ull << (8 * size)) - 1));
         mem_.write(pa, bits, size);
-        predecode_.invalidate(pa, size);
         if (!cfg_.bugs.stale_icache) icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;
@@ -1348,7 +1343,6 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
     case Opcode::kFenceI:
       cc(p_fencei_flush_, true);
       icache_.flush();
-      predecode_.flush();
       cycles_ += cfg_.miss_penalty / 2;
       break;
 
@@ -1557,7 +1551,6 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
         if (!dacc.hit) cycles_ += cfg_.miss_penalty;
         const std::uint64_t bits = size == 8 ? b : (b & 0xffffffffull);
         mem_.write(pa, bits, size);
-        predecode_.invalidate(pa, size);
         if (!cfg_.bugs.stale_icache) icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;
@@ -1648,7 +1641,6 @@ void RtlCore::execute(const Decoded& d, CommitRecord& rec) {
         const std::uint64_t store_bits =
             size == 8 ? result : (result & 0xffffffffull);
         mem_.write(pa, store_bits, size);
-        predecode_.invalidate(pa, size);
         if (!cfg_.bugs.stale_icache) icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;

@@ -25,7 +25,6 @@
 #include "isasim/trace.h"
 #include "riscv/bbv.h"
 #include "riscv/instr.h"
-#include "riscv/predecode.h"
 #include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
@@ -87,8 +86,6 @@ class RtlCore final : public DutCore {
 
   obs::SimCounters take_obs_counters() override {
     obs::SimCounters c = obs_;
-    c.predecode_hits = predecode_.take_hits();
-    c.predecode_misses = predecode_.take_misses();
     obs_ = {};
     return c;
   }
@@ -152,11 +149,6 @@ class RtlCore final : public DutCore {
   ICache icache_;
   DCache dcache_;
   Predictor predictor_;
-  // Decode-stage memoization (see riscv/predecode.h). Fetch still goes
-  // through the modeled I$ — the cache only skips re-decoding the fetched
-  // word, tag-checked against it, so bug injections (stale I$) and every
-  // coverage point behave exactly as before.
-  riscv::PredecodeCache predecode_;
   cov::CtrlRegCoverage ctrl_cov_;
   cov::MetricSuite* metrics_ = nullptr;
 

@@ -53,9 +53,9 @@ class DutCore {
   // No-op; its only caller is the frozen benchmark driver perfbench/driver.cpp.
   void set_superblocks(bool) {}
 
-  /// Telemetry counters (predecode/TLB hit rates) accumulated
-  /// since the last take; taking zeroes them. Observation-only — default
-  /// zero for backends without instrumentation.
+  /// Telemetry counters (TLB hit rate) accumulated since the last take;
+  /// taking zeroes them. Observation-only — default zero for backends
+  /// without instrumentation.
   virtual obs::SimCounters take_obs_counters() { return {}; }
 };
 

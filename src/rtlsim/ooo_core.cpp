@@ -181,7 +181,6 @@ void OooCore::reset(std::span<const std::uint32_t> program) {
   icache_.flush();
   dcache_.flush();
   predictor_.flush();
-  predecode_.flush();
   flush_tlb();
   cycles_ = 0;
   last_commit_cycle_ = 0;
@@ -283,7 +282,6 @@ void OooCore::drain_store(RobEntry& e) {
   const SqEntry& s = sq_[e.sq_slot];
   if (cc(p_lsu_drain_, !s.drained)) {
     mem_.write(s.pa, s.data, s.size);
-    predecode_.invalidate(s.pa, s.size);
     icache_.invalidate_addr(s.pa);
     dcache_.access(s.pa, true);
   }
@@ -687,7 +685,6 @@ void OooCore::execute_store(RobEntry& e) {
     // Bug site: the queue writes memory at execute. A later squash cannot
     // take the bytes back.
     mem_.write(pa, bits, size);
-    predecode_.invalidate(pa, size);
     icache_.invalidate_addr(pa);
     dcache_.access(pa, true);
     s.drained = true;
@@ -784,7 +781,7 @@ void OooCore::do_fetch() {
       stall_marker_ = true;
       break;
     }
-    const Decoded& d = predecode_.lookup(fetch_pc_, raw);
+    const Decoded d = riscv::decode(raw);
 
     RobEntry e;
     e.seq = next_seq_;
@@ -965,7 +962,7 @@ void OooCore::serial_step() {
   rec.pc = pc_;
   rec.instr = raw;
   rec.priv = priv_;
-  const Decoded& d = predecode_.lookup(pc_, raw);
+  const Decoded d = riscv::decode(raw);
   arch_execute(d, rec);
   if (rec.exception == Exception::kNone) ++csrs_.instret;
   emit_record(rec, iacc.hit);
@@ -1119,7 +1116,6 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         const std::uint64_t bits =
             size == 8 ? b : (b & ((1ull << (8 * size)) - 1));
         mem_.write(pa, bits, size);
-        predecode_.invalidate(pa, size);
         icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;
@@ -1155,7 +1151,6 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
       break;
     case Opcode::kFenceI:
       icache_.flush();
-      predecode_.flush();
       cycles_ += cfg_.miss_penalty / 2;
       break;
 
@@ -1299,7 +1294,6 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         if (!dacc.hit) cycles_ += cfg_.miss_penalty;
         const std::uint64_t bits = size == 8 ? b : (b & 0xffffffffull);
         mem_.write(pa, bits, size);
-        predecode_.invalidate(pa, size);
         icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;
@@ -1386,7 +1380,6 @@ void OooCore::arch_execute(const Decoded& d, CommitRecord& rec) {
         const std::uint64_t store_bits =
             size == 8 ? result : (result & 0xffffffffull);
         mem_.write(pa, store_bits, size);
-        predecode_.invalidate(pa, size);
         icache_.invalidate_addr(pa);
         rec.has_mem = true;
         rec.mem_is_store = true;

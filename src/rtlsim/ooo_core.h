@@ -35,7 +35,6 @@
 #include "isasim/trace.h"
 #include "riscv/bbv.h"
 #include "riscv/instr.h"
-#include "riscv/predecode.h"
 #include "rtlsim/caches.h"
 #include "rtlsim/config.h"
 #include "rtlsim/dut.h"
@@ -79,8 +78,6 @@ class OooCore final : public DutCore {
 
   obs::SimCounters take_obs_counters() override {
     obs::SimCounters c = obs_;
-    c.predecode_hits = predecode_.take_hits();
-    c.predecode_misses = predecode_.take_misses();
     obs_ = {};
     return c;
   }
@@ -224,7 +221,6 @@ class OooCore final : public DutCore {
   ICache icache_;
   DCache dcache_;
   Predictor predictor_;
-  riscv::PredecodeCache predecode_;
   cov::CtrlRegCoverage ctrl_cov_;
   riscv::BbvRecorder* bbv_ = nullptr;
 
