@@ -15,7 +15,8 @@
 // recorded to per-thread rings, Chrome trace JSON written to <file>, NDJSON
 // to <file>.ndjson). Campaign results must be bit-identical both ways
 // (parity_ok) — telemetry is out-of-band by contract — and the JSON line
-// reports trace_overhead_percent, which CI holds under its budget. One line
+// reports trace_overhead_percent, the median traced/untraced wall ratio
+// over interleaved pairs, which CI holds under its budget. One line
 // of JSON, schema "trace_overhead", for BENCH_trace_overhead.json; the
 // exported <file> doubles as the Perfetto-loadable artifact.
 //
@@ -34,6 +35,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "baselines/mutational.h"
 #include "core/campaign.h"
@@ -73,9 +75,19 @@ bool same_totals(const core::CampaignResult& a, const core::CampaignResult& b) {
          a.unique_mismatches == b.unique_mismatches;
 }
 
-/// --trace mode: telemetry overhead — identical campaign with telemetry off
-/// vs on, interleaved pairs, best-of wall times (the ratio is the payload;
-/// min damps scheduler noise).
+/// Median of `v` (sorts it).
+double median(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// --trace mode: telemetry overhead — the identical campaign with telemetry
+/// off and on, run as interleaved pairs whose order alternates (off/on,
+/// then on/off) so a drift in host speed cancels. The overhead is the
+/// median of the per-pair wall-time ratios. A smoke round is ~10 ms a side,
+/// where host noise is far larger than the 3% budget, so smoke mode takes
+/// enough pairs for the median to resolve it.
 int run_trace_overhead_bench(bool smoke, const char* trace_path) {
   core::CampaignConfig cfg;
   cfg.num_tests = smoke ? 96 : 1024;
@@ -97,16 +109,25 @@ int run_trace_overhead_bench(bool smoke, const char* trace_path) {
   traced_cfg.stats_path = std::string(trace_path) + ".ndjson";
   traced_cfg.stats_every_ms = 0;  // worst case: NDJSON line every batch
 
-  double dt_plain = 1e30, dt_traced = 1e30;
+  const int pairs = smoke ? 61 : 9;
+  std::vector<double> walls_plain, walls_traced, ratios;
   core::CampaignResult plain, traced;
-  const int rounds = smoke ? 1 : 3;
-  for (int i = 0; i < rounds; ++i) {
-    double dt = 0.0;
-    plain = timed_campaign(cfg, &dt);
-    dt_plain = std::min(dt_plain, dt);
-    traced = timed_campaign(traced_cfg, &dt);
-    dt_traced = std::min(dt_traced, dt);
+  for (int i = 0; i < pairs; ++i) {
+    double dt_plain = 0.0, dt_traced = 0.0;
+    if (i % 2 == 0) {
+      plain = timed_campaign(cfg, &dt_plain);
+      traced = timed_campaign(traced_cfg, &dt_traced);
+    } else {
+      traced = timed_campaign(traced_cfg, &dt_traced);
+      plain = timed_campaign(cfg, &dt_plain);
+    }
+    walls_plain.push_back(dt_plain);
+    walls_traced.push_back(dt_traced);
+    ratios.push_back(dt_traced / dt_plain);
   }
+  const double dt_plain = median(walls_plain);
+  const double dt_traced = median(walls_traced);
+  const double overhead = 100.0 * (median(ratios) - 1.0);
 
   // Telemetry is out-of-band by contract: every architectural total must
   // match bit-for-bit or the overhead number is meaningless.
@@ -116,14 +137,14 @@ int run_trace_overhead_bench(bool smoke, const char* trace_path) {
   const double tps_traced = static_cast<double>(traced.tests_run) / dt_traced;
   std::printf(
       "{\"bench\":\"trace_overhead\",\"smoke\":%s,"
-      "\"tests\":%zu,\"workers\":1,"
-      "\"tests_per_sec\":%.1f,\"wall_seconds\":%.3f,"
-      "\"tests_per_sec_traced\":%.1f,\"wall_seconds_traced\":%.3f,"
+      "\"tests\":%zu,\"workers\":1,\"pairs\":%d,"
+      "\"tests_per_sec\":%.1f,\"wall_seconds\":%.4f,"
+      "\"tests_per_sec_traced\":%.1f,\"wall_seconds_traced\":%.4f,"
       "\"trace_overhead_percent\":%.2f,"
       "\"final_cov_percent\":%.4f,\"parity_ok\":%s}\n",
-      smoke ? "true" : "false", plain.tests_run, tps_plain, dt_plain,
-      tps_traced, dt_traced, 100.0 * (dt_traced / dt_plain - 1.0),
-      plain.final_cov_percent, parity_ok ? "true" : "false");
+      smoke ? "true" : "false", plain.tests_run, pairs, tps_plain, dt_plain,
+      tps_traced, dt_traced, overhead, plain.final_cov_percent,
+      parity_ok ? "true" : "false");
   return parity_ok ? 0 : 1;
 }
 

@@ -1,5 +1,6 @@
 #include "ml/gpt.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -309,14 +310,16 @@ void attention_forward(float* out, float* preatt, float* att, const float* qkv,
   }
 }
 
-void attention_backward(float* dqkv, float* dpreatt, float* datt,
-                        const float* dout, const float* qkv, const float* att,
-                        int B, int T, int C, int NH) {
+void attention_backward(float* dqkv, const float* dout, const float* qkv,
+                        const float* att, int B, int T, int C, int NH) {
   const int hs = C / NH;
   const float scale = 1.f / std::sqrt(static_cast<float>(hs));
   const std::size_t Tp = round_up_lanes(T);
   std::vector<float> vt(hs * Tp, 0.f), dvt(hs * Tp), dkt(hs * Tp);
   std::vector<float> acc(Tp), na(Tp + kSoftmaxBlock), g(Tp);
+  // One query row's score gradients (through the weighted sum, then
+  // through softmax): scratch that no other row reads.
+  std::vector<float> da(Tp), dpre(Tp);
   for (int b = 0; b < B; ++b) {
     for (int h = 0; h < NH; ++h) {
       gather_head(vt.data(), Tp, qkv, b, h, 2, T, C, hs);
@@ -326,16 +329,16 @@ void attention_backward(float* dqkv, float* dpreatt, float* datt,
           qkv + static_cast<std::size_t>(b) * T * 3 * C + C + h * hs;
       for (int t = 0; t < T; ++t) {
         const float* a = att + ((b * NH + h) * T + t) * T;
-        float* da = datt + ((b * NH + h) * T + t) * T;
-        float* dpre = dpreatt + ((b * NH + h) * T + t) * T;
         const float* d = dout + (b * T + t) * C + h * hs;
         const int n = t + 1;
+        std::fill_n(da.begin(), n, 0.f);
+        std::fill_n(dpre.begin(), n, 0.f);
         // through weighted sum of V
         dots_across_keys(acc.data(), d, vt.data(), Tp, round_up_lanes(n), hs);
         for (int t2 = 0; t2 < n; ++t2) da[t2] += acc[t2];
         rank1_across_keys(dvt.data(), Tp, a, d, n, hs);
         // through softmax
-        softmax_backward_row(dpre, na.data(), a, da, n);
+        softmax_backward_row(dpre.data(), na.data(), a, da.data(), n);
         // through q.k
         const float* q = qkv + (b * T + t) * 3 * C + h * hs;
         float* dq = dqkv + (b * T + t) * 3 * C + h * hs;
@@ -567,7 +570,20 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
   float* dacts = dacts_.data();
   const float* prm = params_.data();
   float* grd = grads_.data();
-  std::fill(dacts_.begin(), dacts_.end(), 0.f);
+  // Zero only what the passes below accumulate into: the residual stream
+  // and each layer's input gradients. The logits/probs/values gradients are
+  // never formed (dlogits and dvalues come from the caller), and the
+  // attention-score gradients live in attention_backward's row scratch.
+  // Each layer's fill runs up to preatt and on from attproj; the small
+  // mean/rstd slices inside those ranges are zeroed along with them.
+  const std::size_t BTC = static_cast<std::size_t>(BT) * C;
+  std::fill_n(dacts + a.encoded, BTC, 0.f);
+  for (int l = 0; l < cfg_.n_layer; ++l) {
+    float* dl = dacts + a.layer_base + l * a.per_layer;
+    std::fill(dl, dl + a.preatt, 0.f);
+    std::fill(dl + a.attproj, dl + a.per_layer, 0.f);
+  }
+  std::fill_n(dacts + a.lnf, BTC, 0.f);
 
   // value head backward: dlnf += dvalues * valw; dvalw += sum dvalues*lnf
   if (dvalues != nullptr) {
@@ -634,8 +650,7 @@ void Gpt::backward_from(const int* tokens, const float* dlogits,
     kern::matmul_backward(dacts + ab + a.atty, grd + pb + p.attprojw,
                           grd + pb + p.attprojb, dattproj, acts + ab + a.atty,
                           prm + pb + p.attprojw, BT, C, C);
-    attention_backward(dacts + ab + a.qkv, dacts + ab + a.preatt,
-                       dacts + ab + a.att, dacts + ab + a.atty,
+    attention_backward(dacts + ab + a.qkv, dacts + ab + a.atty,
                        acts + ab + a.qkv, acts + ab + a.att, B, T, C, NH);
     kern::matmul_backward(dacts + ab + a.ln1, grd + pb + p.qkvw,
                           grd + pb + p.qkvb, dacts + ab + a.qkv,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -148,6 +149,32 @@ TEST(GradCheck, ValueHeadGradient) {
     ++checked;
   }
   EXPECT_GE(checked, 3);
+}
+
+TEST(GradCheck, BackwardLeavesNoStateForTheNextCall) {
+  // backward_from reuses its gradient arena across calls at one shape. A
+  // second call on other inputs must give the gradient bits of one call on
+  // a fresh model, or some region was read before it was zeroed.
+  const GptConfig cfg = GptConfig::tiny();
+  const int B = 2, T = 7;
+  auto pass = [&](Gpt& model, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<int> tokens(B * T);
+    for (auto& t : tokens) t = static_cast<int>(rng.below(cfg.vocab));
+    std::vector<float> dlogits(B * T * cfg.vocab), dvalues(B * T);
+    for (auto& g : dlogits) g = static_cast<float>(rng.uniform()) - 0.5f;
+    for (auto& g : dvalues) g = static_cast<float>(rng.uniform()) - 0.5f;
+    model.zero_grad();
+    model.forward(tokens.data(), B, T);
+    model.backward_from(tokens.data(), dlogits.data(), dvalues.data(), B, T);
+  };
+  Gpt reused(cfg, 9), fresh(cfg, 9);
+  pass(reused, 1);
+  pass(reused, 2);
+  pass(fresh, 2);
+  EXPECT_EQ(std::memcmp(reused.grads().data(), fresh.grads().data(),
+                        fresh.grads().size() * sizeof(float)),
+            0);
 }
 
 // ---- training convergence -------------------------------------------------------
